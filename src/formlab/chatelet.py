@@ -3,7 +3,8 @@
 Covers the real and p-adic solvability tests with Hensel certificates,
 the exact local densities sigma, the lattice counting function and its
 localized (gamma times real-density) model, rational point search, and
-the sampling experiment that compares the two solvable classes.
+the per-sample classification into the rational and locally-solvable
+classes that the harness's hasse kind records.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ _SEED_BUDGET = 2 * 10**6
 _FRONTIER_CAP = 60000
 _SIGMA_BUDGET = 10**8
 _VALUE_BUDGET = 10**8
-
-# Full-scale parameter formulas.  The products they imply dwarf any
-# enumeration budget, so the desk defaults below stand in for them and
-# these closed forms exist for formula-level checks only.
-def full_scale_precision(x: float, d: int, A: float) -> int:
-    return int(1000 * d * A * math.floor(math.log(math.log(x))))
-
-
-def full_scale_w(x: float) -> float:
-    return math.exp(math.sqrt(math.log(x)))
-
 
 DESK_K = 2
 DESK_W = 7
@@ -482,43 +472,6 @@ def sigma_W0(
     return local_density_data(instance, m_dk, w_desk, k_desk).sigma_w0
 
 
-def c_de(d: int, e: int) -> int:
-    """Exponent of the log-power loss in the lower-bound shape."""
-    return e + d**2 * (d + 1) ** (e + 2)
-
-
-def euler_product_lower(
-    instance: ChateletInstance,
-    w_desk: int = DESK_W,
-    m_dk: int = DESK_M,
-    k_desk: int = DESK_K,
-) -> float:
-    """Product of alpha_p * xi_p over the first-power primes, xi truncated.
-
-    xi_p folds the form's zero counts mod p^j against the truncated ideal
-    count convolution; the result must come out positive.
-    """
-    data_primes = tuple(
-        p for p in arith.primes(w_desk) if p > m_dk and instance.content % p != 0
-    )
-    total = Fraction(1)
-    cap = k_desk * instance.e
-    for p in data_primes:
-        loc = normforms.DedekindLocal.build(instance.field, p)
-        xi = Fraction(1)
-        for j in range(1, cap + 1):
-            bj = loc.b(j, k_desk)
-            if bj == 0:
-                continue
-            lam = forms.zero_count_prime_power(instance.form, p, j)
-            xi += bj * Fraction(lam, p ** (2 * j))
-        term = loc.alpha() * xi
-        if term <= 0:
-            raise ArithmeticError(f"nonpositive local factor at p={p}")
-        total *= term
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # Counting functions.
 
@@ -738,7 +691,7 @@ def search_rational_point(
 
 
 # ---------------------------------------------------------------------------
-# The sampling experiment.
+# Per-sample classification.
 
 _CLASSES = ("not-in-S", "locally-obstructed", "rational-point-found", "unknown")
 
@@ -755,19 +708,6 @@ class HasseSample:
     Nc_hat: Optional[float]
     Nc_err: Optional[float]
     sigma_w0: Optional[float]
-
-
-@dataclass(frozen=True)
-class HasseReport:
-    samples: tuple[HasseSample, ...]
-    counts: dict
-    ratio_lower_bound: Optional[float]
-    ratio_full_coverage: Optional[float]  # restricted to fully tested samples
-    budget_limited: int
-    violations: int
-    positive_fraction: float
-    quantile_curves: dict
-    params: dict
 
 
 def tested_primes(instance: ChateletInstance, prime_cutoff: int) -> tuple[int, ...]:
@@ -857,171 +797,3 @@ def hasse_sample(
         Nc_err=Nc_err,
         sigma_w0=sigma,
     )
-
-
-def _quantiles(values: Sequence[float]) -> dict:
-    if not values:
-        return {}
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    pick = lambda q: float(arr[min(len(arr) - 1, int(q * len(arr)))])
-    return {
-        "min": float(arr[0]),
-        "q25": pick(0.25),
-        "median": pick(0.5),
-        "q75": pick(0.75),
-        "max": float(arr[-1]),
-    }
-
-
-def hasse_experiment(
-    cube: forms.CombinatorialCube,
-    field: NumberField,
-    H: int,
-    height_bound: int,
-    prime_cutoff: int,
-    samples: int,
-    seed: int = 0,
-    x_count: int = 20,
-    m_dk: int = DESK_M,
-    w_desk: int = DESK_W,
-    k_desk: int = DESK_K,
-    mc_samples: int = 20000,
-    time_budget: int = 10**7,
-) -> HasseReport:
-    """Sampled comparison of the rational and locally-solvable classes.
-
-    The headline ratio is a certified lower bound: found over found plus
-    unknown, with obstructed samples excluded from the denominator and
-    the unknown class never silently folded away.
-    """
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
-    norm = NormForm(field)
-    B = default_B(ChateletInstance(field=field, form=cube.sample(seed, 0)), x_count, H)
-    region = RegionB(norm, 1, B)
-    region.histogram()
-    profile = DensityProfile.draw(region, mc_samples, seed)
-    recs = [
-        hasse_sample(
-            field, cube, H, seed, i, height_bound, prime_cutoff, region, profile,
-            x_count, m_dk, w_desk, k_desk, time_budget,
-        )
-        for i in range(samples)
-    ]
-    counts = {c: 0 for c in _CLASSES}
-    violations = 0
-    budget_limited = 0
-    cov_found = cov_unknown = 0
-    nc_scaled: dict[int, list[float]] = {1: [], 2: [], 4: []}
-    for r in recs:
-        counts[r.klass] += 1
-        if r.klass == "rational-point-found" and any(v == "no" for _, v in r.padic):
-            violations += 1
-        covered = all(v != "budget" for _, v in r.padic)
-        if not covered:
-            budget_limited += 1
-        elif r.klass == "rational-point-found":
-            cov_found += 1
-        elif r.klass == "unknown":
-            cov_unknown += 1
-        if r.Nc is not None:
-            for C in nc_scaled:
-                nc_scaled[C].append(r.Nc * math.log(H) ** C / x_count**2)
-    found = counts["rational-point-found"]
-    unknown = counts["unknown"]
-    ratio = found / (found + unknown) if found + unknown > 0 else None
-    cov_total = cov_found + cov_unknown
-    in_s = samples - counts["not-in-S"]
-    positive = (found + unknown) / in_s if in_s > 0 else 0.0
-    return HasseReport(
-        samples=tuple(recs),
-        counts=counts,
-        ratio_lower_bound=ratio,
-        ratio_full_coverage=cov_found / cov_total if cov_total > 0 else None,
-        budget_limited=budget_limited,
-        violations=violations,
-        positive_fraction=positive,
-        quantile_curves={C: _quantiles(v) for C, v in nc_scaled.items()},
-        params={
-            "H": H,
-            "height_bound": height_bound,
-            "prime_cutoff": prime_cutoff,
-            "samples": samples,
-            "seed": seed,
-            "x_count": x_count,
-            "m_dk": m_dk,
-            "w_desk": w_desk,
-            "k_desk": k_desk,
-            "mc_samples": mc_samples,
-            "B": B,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Count-versus-model experiment.
-
-@dataclass(frozen=True)
-class DensityRecord:
-    index: int
-    coeffs: tuple[int, ...]
-    Nc: int
-    Nc_hat: float
-    Nc_err: float
-    within: bool
-
-
-def density_instance_indices(
-    cube: forms.CombinatorialCube, seed: int, count: int, scan_limit: int = 10**5
-) -> list[int]:
-    """First `count` cube indices whose form has nonzero edge coefficients."""
-    out = []
-    i = 0
-    while len(out) < count:
-        if i >= scan_limit:
-            raise ResourceLimitError("not enough admissible instances in range")
-        c = cube.sample(seed, i).coeffs
-        if c[0] * c[-1] != 0:
-            out.append(i)
-        i += 1
-    return out
-
-
-def density_experiment(
-    field: NumberField,
-    H: int,
-    x: int,
-    samples: int,
-    seed: int = 0,
-    w_desk: int = DESK_W,
-    k_desk: int = DESK_K,
-    mc_samples: int = 100000,
-    error_bars: float = 3.0,
-    degree: Optional[int] = None,
-) -> tuple[list[DensityRecord], RegionB]:
-    """Exact counts against the localized model on sampled instances."""
-    d = degree if degree is not None else field.degree
-    cube = forms.CombinatorialCube(degree=d, side=H)
-    norm = NormForm(field)
-    probe = ChateletInstance(field=field, form=BinaryForm([1] * (d + 1)))
-    region = RegionB(norm, 1, default_B(probe, x, H))
-    region.histogram()
-    profile = DensityProfile.draw(region, mc_samples, seed)
-    W = model_W(w_desk, k_desk)
-    records = []
-    for idx in density_instance_indices(cube, seed, samples):
-        form = cube.sample(seed, idx)
-        inst = ChateletInstance(field=field, form=form)
-        nc = count_Nc(inst, x, region)
-        est, err = localized_Nc(inst, x, region, W, profile=profile)
-        records.append(
-            DensityRecord(
-                index=idx,
-                coeffs=form.coeffs,
-                Nc=nc,
-                Nc_hat=float(est),
-                Nc_err=float(err),
-                within=abs(nc - est) <= error_bars * err,
-            )
-        )
-    return records, region

@@ -136,17 +136,6 @@ def _eval_col(form: BinaryForm, m: int, vs: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class ChowlaReport:
-    samples: int
-    threshold: float
-    exceptional_fraction: float
-    histogram_edges: tuple[float, ...]
-    histogram_counts: tuple[int, ...]
-    median: float
-    statistics: tuple[float, ...]
-
-
 def chowla_sample(
     cube: CombinatorialCube,
     scale: int,
@@ -158,38 +147,6 @@ def chowla_sample(
 ) -> ChowlaStat:
     """Statistic of the index-th sampled form (pure in (seed, index))."""
     return chowla_statistic(cube.sample(seed, index), scale, exponent, sieve, grid_size)
-
-
-def chowla_experiment(
-    cube: CombinatorialCube,
-    scale: int,
-    exponent: float,
-    samples: int,
-    decay: float,
-    seed: int,
-    sieve: SieveTable,
-    grid_size=16,
-) -> ChowlaReport:
-    """Fraction of sampled forms whose statistic exceeds (log H)^(-decay)."""
-    if cube.dimension < 2:
-        raise ValueError("experiment requires a cube of dimension >= 2")
-    stats = [
-        chowla_sample(cube, scale, exponent, seed, i, sieve, grid_size).statistic
-        for i in range(samples)
-    ]
-    threshold = math.log(scale) ** (-decay)
-    edges = np.linspace(0.0, 1.0, 21)
-    counts, _ = np.histogram(stats, bins=edges)
-    frac = sum(1 for s in stats if s > threshold) / samples if samples else 0.0
-    return ChowlaReport(
-        samples=samples,
-        threshold=threshold,
-        exceptional_fraction=frac,
-        histogram_edges=tuple(float(e) for e in edges),
-        histogram_counts=tuple(int(c) for c in counts),
-        median=float(np.median(stats)) if stats else 0.0,
-        statistics=tuple(stats),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +365,3 @@ def accepted_draw_index(
             if found == k:
                 return idx
     raise ResourceLimitError("rejection sampling exhausted its scan budget")
-
-
-def bh_sample(
-    cube: CombinatorialCube,
-    x: int,
-    seed: int,
-    k: int,
-    sieve: SieveTable,
-    min_series: Fraction = Fraction(1, 5),
-) -> tuple[int, BHResult]:
-    """Correlation result for the k-th admissible sampled form."""
-    idx = accepted_draw_index(cube, seed, k, lambda g: bh_admissible(g, x, min_series))
-    form = cube.sample(seed, idx)
-    return idx, bh_correlation([form], x, sieve)

@@ -15,13 +15,13 @@ from . import sieve as sieve_mod
 from .errors import ConfigError
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--A", type=float, default=None, dest="A")
-    sp.add_argument("--config", type=str, default=None,
-                    help="key=value file; explicit flags override it")
+def _add_flag(sp: argparse.ArgumentParser, name: str, text: str) -> None:
+    flag = "--" + name.replace("_", "-")
+    if harness.FIELD_TYPES[name] is bool:
+        sp.add_argument(flag, dest=name, action="store_true", default=None, help=text)
+    else:
+        sp.add_argument(flag, dest=name, type=harness.FIELD_TYPES[name], default=None,
+                        help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,56 +33,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--bound", type=int, required=True)
     sv.add_argument("--out", type=str, required=True)
 
-    ch = sub.add_parser("chowla", help="sign-correlation sup statistic over sampled forms")
-    ch.add_argument("--d", type=int, default=None)
-    ch.add_argument("--H", type=int, default=None)
-    ch.add_argument("--c", type=float, default=None)
-    ch.add_argument("--samples", type=int, default=None)
-    ch.add_argument("--grid", type=int, default=None)
-    _add_common(ch)
-
-    bh = sub.add_parser("bh", help="prime-density correlations against the local product")
-    bh.add_argument("--d", type=int, default=None)
-    bh.add_argument("--H", type=int, default=None)
-    bh.add_argument("--c", type=float, default=None)
-    bh.add_argument("--x", type=int, default=None)
-    bh.add_argument("--r", type=int, default=None)
-    bh.add_argument("--samples", type=int, default=None)
-    bh.add_argument("--min-series", type=float, default=None, dest="min_series")
-    bh.add_argument("--anchor", action="store_true", default=None,
-                    help="single identity-form record (densities exactly known)")
-    _add_common(bh)
-
-    hs = sub.add_parser("hasse", help="rational versus locally-solvable classes")
-    hs.add_argument("--field", type=str, default=None)
-    hs.add_argument("--d", type=int, default=None)
-    hs.add_argument("--H", type=int, default=None)
-    hs.add_argument("--height", type=int, default=None)
-    hs.add_argument("--primes", type=int, default=None)
-    hs.add_argument("--samples", type=int, default=None)
-    hs.add_argument("--x", type=int, default=None)
-    hs.add_argument("--w-desk", type=int, default=None, dest="w_desk")
-    hs.add_argument("--k-desk", type=int, default=None, dest="k_desk")
-    hs.add_argument("--m-dk", type=int, default=None, dest="m_dk")
-    hs.add_argument("--mc", type=int, default=None)
-    _add_common(hs)
-
-    de = sub.add_parser("density", help="archimedean density bins and count-model records")
-    de.add_argument("--field", type=str, default=None)
-    de.add_argument("--d", type=int, default=None)
-    de.add_argument("--H", type=int, default=None)
-    de.add_argument("--x", type=int, default=None)
-    de.add_argument("--B", type=float, default=None, dest="B")
-    de.add_argument("--mc", type=int, default=None)
-    de.add_argument("--samples", type=int, default=None)
-    de.add_argument("--bins", type=int, default=None)
-    de.add_argument("--w-desk", type=int, default=None, dest="w_desk")
-    de.add_argument("--k-desk", type=int, default=None, dest="k_desk")
-    _add_common(de)
-
-    vf = sub.add_parser("verify", help="run the exact check battery")
-    vf.add_argument("--suite", type=str, default=None, choices=list(harness.SUITES))
-    _add_common(vf)
+    # one subcommand per protocol, one flag per field it reads
+    for kind, protocol in harness.PROTOCOLS.items():
+        sp = sub.add_parser(kind, help=protocol.help)
+        defaults = harness.ExperimentConfig(kind=kind, **protocol.defaults)
+        for name in protocol.fields + harness.COMMON_FIELDS:
+            note = protocol.flag_help.get(name)
+            default = f"default {getattr(defaults, name)}"
+            _add_flag(sp, name, f"{note}; {default}" if note else default)
+        sp.add_argument("--config", type=str, default=None,
+                        help="key=value file; explicit flags override it")
 
     sm = sub.add_parser("summarize", help="quantile table of a results.jsonl")
     sm.add_argument("path", type=str)

@@ -168,13 +168,6 @@ def zero_count_mod_prime_fast(form: BinaryForm, p: int) -> int:
     return 1 + (p - 1) * rho
 
 
-def zero_count_auto(form: BinaryForm, q: int, prime_hint: bool = False) -> int:
-    """Route to the fast path for primes not dividing the content."""
-    if prime_hint and form.content % q != 0:
-        return zero_count_mod_prime_fast(form, q)
-    return zero_count_mod(form, q)
-
-
 def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
     """#{(u,v) mod p^k : g = 0 mod p^k} without enumerating the full grid.
 
@@ -369,44 +362,6 @@ def extremes(form: BinaryForm) -> ExtremeValues:
         witness_minus=lo_best[2],
         witness_plus=hi_best[2],
     )
-
-
-def classify_dyadic(
-    form: BinaryForm,
-    h_tilde,
-    sign: int,
-    H: Optional[int] = None,
-    A: Optional[float] = None,
-) -> Optional[bool]:
-    """Membership in the dyadic stratum at scale h_tilde for the given sign.
-
-    For sign +1: is h_tilde/2 < (boundary max) <= h_tilde.
-    For sign -1: is -h_tilde <= (boundary min) < -h_tilde/2.
-    Returns None when the certified enclosure straddles a boundary.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ht = Fraction(h_tilde)
-    if ht <= 0:
-        raise ValueError("dyadic scale must be positive")
-    if H is not None and A is not None:
-        low = 2 * H * math.log(H) ** (-A)
-        if not (low <= float(ht) <= H):
-            raise ValueError("dyadic scale outside the admissible window")
-    ext = extremes(form)
-    if sign == 1:
-        lo, hi = ext.b_plus
-        if lo > ht / 2 and hi <= ht:
-            return True
-        if hi <= ht / 2 or lo > ht:
-            return False
-        return None
-    lo, hi = ext.b_minus
-    if lo >= -ht and hi < -ht / 2:
-        return True
-    if hi < -ht or lo >= -ht / 2:
-        return False
-    return None
 
 
 # ---------------------------------------------------------------------------

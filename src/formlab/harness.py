@@ -1,5 +1,10 @@
 """Experiment configuration, the parallel runner, persistence, and checks.
 
+Each experiment kind is one `Protocol` in `PROTOCOLS`: the config fields
+it reads with their defaults, its validation, its shared state, its
+per-index record, its summary rows and its CLI help.  Config coercion,
+the CLI flags and the summaries are derived from that registry.
+
 Every sample record is a pure function of (config, index).  The pool maps
 over indices and the single writer emits canonical JSON in index order,
 so the result byte stream is identical for any worker count and any
@@ -16,12 +21,13 @@ import math
 import multiprocessing as mp
 import os
 import tempfile
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +38,9 @@ from .forms import BinaryForm, CombinatorialCube
 from .normforms import DensityProfile, NormForm, RegionB, field_presets
 from .rng import philox
 
-KINDS = ("chowla", "bh", "hasse", "density", "verify")
 SUITES = ("all", "lemmas", "oracle")
+# config fields every kind reads; each is a flag on every experiment subcommand
+COMMON_FIELDS = ("seed", "out", "workers")
 
 # bh/chowla share one smallest-prime-factor table per process; values
 # beyond it fall back to the vectorized strip, so this caps memory only
@@ -51,7 +58,6 @@ class ExperimentConfig:
     r: int = 1
     samples: int = 50
     seed: int = 42
-    A: float = 2.0
     height: int = 200
     primes: int = 100
     w_desk: int = chatelet.DESK_W
@@ -68,7 +74,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        protocol = PROTOCOLS.get(self.kind)
+        if protocol is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.samples < 0:
             raise ConfigError("samples must be nonnegative")
@@ -78,43 +85,7 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
         if self.d < 1 or self.H < 1:
             raise ConfigError("d and H must be positive")
-        if self.kind in ("chowla", "bh"):
-            cap = chowla_bh.exponent_cap(self.d)
-            if not 0 < self.c < cap:
-                raise ConfigError(
-                    f"scale exponent c={self.c} outside (0, {cap:.6f}) for degree {self.d}"
-                )
-        if self.kind == "bh":
-            if self.x < 2:
-                raise ConfigError("x must be at least 2")
-            if self.r < 1:
-                raise ConfigError("r must be at least 1")
-            if not 0 <= self.min_series:
-                raise ConfigError("min_series must be nonnegative")
-        if self.kind in ("hasse", "density"):
-            presets = field_presets()
-            if self.field not in presets:
-                raise ConfigError(
-                    f"unknown field preset {self.field!r}; have {sorted(presets)}"
-                )
-            e = presets[self.field].degree
-            if self.d % e != 0:
-                raise ConfigError(f"field degree {e} must divide form degree {self.d}")
-            if self.x < 1:
-                raise ConfigError("x must be positive")
-            if min(self.w_desk, self.k_desk, self.m_dk) < 1:
-                raise ConfigError("w_desk, k_desk, m_dk must be positive")
-        if self.kind == "density":
-            if self.B < 1:
-                raise ConfigError("region scale B must be at least 1")
-            if self.mc < 1000:
-                raise ConfigError("mc must be at least 1000")
-            if self.bins < 2:
-                raise ConfigError("bins must be at least 2")
-        if self.kind == "verify" and self.suite not in SUITES:
-            raise ConfigError(f"suite must be one of {SUITES}")
-        if self.A <= 0:
-            raise ConfigError("decay exponent A must be positive")
+        protocol.validate(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -124,27 +95,12 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# kind-specific defaults layered under explicit settings; flags mirror these
-_KIND_DEFAULTS: dict[str, dict] = {
-    "chowla": {"d": 3, "H": 1000, "c": 0.08, "samples": 200},
-    "bh": {"d": 2, "H": 500, "c": 0.05, "x": 300, "r": 1, "samples": 50},
-    "hasse": {"d": 2, "H": 20, "height": 200, "primes": 50, "samples": 400,
-              "x": 20, "mc": 20000},
-    "density": {"d": 2, "H": 50, "x": 40, "samples": 0, "mc": 100000},
-    "verify": {"samples": 0},
-}
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-_BOOL_FIELDS = {"anchor"}
-_INT_FIELDS = {
-    "d", "H", "x", "r", "samples", "seed", "height", "primes", "w_desk",
-    "k_desk", "m_dk", "mc", "grid", "bins", "workers",
-}
-_FLOAT_FIELDS = {"c", "A", "B", "min_series"}
+FIELD_TYPES: dict[str, type] = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, value) -> object:
-    if key in _BOOL_FIELDS:
+    typ = FIELD_TYPES[key]
+    if typ is bool:
         if isinstance(value, bool):
             return value
         text = str(value).strip().lower()
@@ -154,24 +110,21 @@ def _coerce(key: str, value) -> object:
             return False
         raise ConfigError(f"cannot parse boolean {key}={value!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
+        return typ(value)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {key}={value!r}") from None
-    return str(value)
 
 
 def make_config(kind: str, settings: Optional[dict] = None) -> ExperimentConfig:
-    """Config for `kind` with kind defaults under the explicit settings."""
-    if kind not in KINDS:
+    """Config for `kind` with the protocol's defaults under the explicit settings."""
+    protocol = PROTOCOLS.get(kind)
+    if protocol is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    merged: dict = dict(_KIND_DEFAULTS.get(kind, {}))
+    merged: dict = dict(protocol.defaults)
     for key, value in (settings or {}).items():
         if key == "kind":
             continue
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, value)
     cfg = ExperimentConfig(kind=kind, **merged)
@@ -211,10 +164,15 @@ def effective_workers(requested: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-process state.  Built in the parent before the pool forks;
-# rebuilt on demand in a worker that did not inherit it.
+# The experiment kinds.  Records hold plain JSON types only; `statistic`
+# and `H` feed the generic summary, kind-specific fields carry the science.
 
-_STATE: dict = {}
+def _check_scale_exponent(cfg: ExperimentConfig) -> None:
+    cap = chowla_bh.exponent_cap(cfg.d)
+    if not 0 < cfg.c < cap:
+        raise ConfigError(
+            f"scale exponent c={cfg.c} outside (0, {cap:.6f}) for degree {cfg.d}"
+        )
 
 
 def _chowla_sieve_bound(cfg: ExperimentConfig) -> int:
@@ -223,50 +181,12 @@ def _chowla_sieve_bound(cfg: ExperimentConfig) -> int:
     return min(_SIEVE_CAP, max(10**4, need))
 
 
-def _build_state(cfg: ExperimentConfig) -> dict:
-    if cfg.kind == "chowla":
-        return {
-            "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
-            "sieve": sieve_mod.build_sieve(_chowla_sieve_bound(cfg)),
-        }
-    if cfg.kind == "bh":
-        return {
-            "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
-            "sieve": sieve_mod.build_sieve(_SIEVE_CAP),
-            "min_series": Fraction(str(cfg.min_series)),
-        }
-    if cfg.kind in ("hasse", "density"):
-        field = field_presets()[cfg.field]
-        norm = NormForm(field)
-        probe = chatelet.ChateletInstance(field=field, form=BinaryForm([1] * (cfg.d + 1)))
-        if cfg.kind == "density" and cfg.samples == 0:
-            B = float(cfg.B)
-        else:
-            B = chatelet.default_B(probe, cfg.x, cfg.H)
-        region = RegionB(norm, 1, B)
-        region.histogram()
-        profile = DensityProfile.draw(region, cfg.mc, cfg.seed)
-        return {
-            "field": field,
-            "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
-            "region": region,
-            "profile": profile,
-            "W": chatelet.model_W(cfg.w_desk, cfg.k_desk),
-        }
-    return {}
+def _chowla_state(cfg: ExperimentConfig) -> dict:
+    return {
+        "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
+        "sieve": sieve_mod.build_sieve(_chowla_sieve_bound(cfg)),
+    }
 
-
-def _state_for(cfg: ExperimentConfig) -> dict:
-    state = _STATE.get(cfg)
-    if state is None:
-        state = _build_state(cfg)
-        _STATE[cfg] = state
-    return state
-
-
-# ---------------------------------------------------------------------------
-# Per-sample records.  Plain JSON types only; `statistic` and `H` feed the
-# generic summary, kind-specific fields carry the science.
 
 def _chowla_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
     stat = chowla_bh.chowla_sample(
@@ -279,6 +199,31 @@ def _chowla_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
         "statistic": float(stat.statistic),
         "window": [float(stat.grid[0]), float(stat.grid[-1])],
         "H": cfg.H,
+    }
+
+
+def _chowla_summary(records: list[dict]) -> list[tuple]:
+    stats = [r["statistic"] for r in records if r.get("statistic") is not None]
+    if not stats:
+        return []
+    return [("median_statistic", _fmt(float(np.median(stats))))]
+
+
+def _validate_bh(cfg: ExperimentConfig) -> None:
+    _check_scale_exponent(cfg)
+    if cfg.x < 2:
+        raise ConfigError("x must be at least 2")
+    if cfg.r < 1:
+        raise ConfigError("r must be at least 1")
+    if not 0 <= cfg.min_series:
+        raise ConfigError("min_series must be nonnegative")
+
+
+def _bh_state(cfg: ExperimentConfig) -> dict:
+    return {
+        "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
+        "sieve": sieve_mod.build_sieve(_SIEVE_CAP),
+        "min_series": Fraction(str(cfg.min_series)),
     }
 
 
@@ -313,6 +258,47 @@ def _bh_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
     }
 
 
+def _bh_summary(records: list[dict]) -> list[tuple]:
+    rows: list[tuple] = []
+    for key in ("ratio", "ratio_w"):
+        ratios = [r[key] for r in records if r.get(key) is not None]
+        if ratios:
+            rows.append((f"median_abs_{key}_gap",
+                         _fmt(float(np.median([abs(t - 1) for t in ratios])))))
+    return rows
+
+
+def _validate_local(cfg: ExperimentConfig) -> None:
+    """Checks shared by the kinds that count points on N_K(x) = g(u, v)."""
+    presets = field_presets()
+    if cfg.field not in presets:
+        raise ConfigError(f"unknown field preset {cfg.field!r}; have {sorted(presets)}")
+    e = presets[cfg.field].degree
+    if cfg.d % e != 0:
+        raise ConfigError(f"field degree {e} must divide form degree {cfg.d}")
+    if cfg.x < 1:
+        raise ConfigError("x must be positive")
+    if min(cfg.w_desk, cfg.k_desk, cfg.m_dk) < 1:
+        raise ConfigError("w_desk, k_desk, m_dk must be positive")
+
+
+def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
+    """Region, MC profile and model modulus; B defaults to the count's scale."""
+    field = field_presets()[cfg.field]
+    if B is None:
+        probe = chatelet.ChateletInstance(field=field, form=BinaryForm([1] * (cfg.d + 1)))
+        B = chatelet.default_B(probe, cfg.x, cfg.H)
+    region = RegionB(NormForm(field), 1, B)
+    region.histogram()
+    return {
+        "field": field,
+        "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
+        "region": region,
+        "profile": DensityProfile.draw(region, cfg.mc, cfg.seed),
+        "W": chatelet.model_W(cfg.w_desk, cfg.k_desk),
+    }
+
+
 def _hasse_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
     s = chatelet.hasse_sample(
         state["field"], state["cube"], cfg.H, cfg.seed, i, cfg.height, cfg.primes,
@@ -342,19 +328,46 @@ def _hasse_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
     }
 
 
-def _admissible_index(cube: CombinatorialCube, seed: int, k: int) -> int:
-    found = -1
-    for idx in range(10**5):
-        c = cube.sample(seed, idx).coeffs
-        if c[0] * c[-1] != 0:
-            found += 1
-            if found == k:
-                return idx
-    raise ResourceLimitError("no admissible instance within the scan budget")
+def _hasse_summary(records: list[dict]) -> list[tuple]:
+    counts = {k: 0 for k in chatelet._CLASSES}
+    violations = 0
+    for r in records:
+        if r.get("record") != "sample":
+            continue
+        counts[r["class"]] += 1
+        if r["class"] == "rational-point-found" and any(
+            v == "no" for v in r["padic"].values()
+        ):
+            violations += 1
+    rows: list[tuple] = [(f"count_{klass}", n) for klass, n in counts.items()]
+    found, unknown = counts["rational-point-found"], counts["unknown"]
+    ratio = found / (found + unknown) if found + unknown else ""
+    rows.append(("ratio_lower_bound", ratio))
+    rows.append(("violations", violations))
+    return rows
+
+
+def _validate_density(cfg: ExperimentConfig) -> None:
+    _validate_local(cfg)
+    if cfg.B < 1:
+        raise ConfigError("region scale B must be at least 1")
+    if cfg.mc < 1000:
+        raise ConfigError("mc must be at least 1000")
+    if cfg.bins < 2:
+        raise ConfigError("bins must be at least 2")
+
+
+def _density_state(cfg: ExperimentConfig) -> dict:
+    # with no instances to count, the region scale is the B setting itself
+    return _local_state(cfg, float(cfg.B) if cfg.samples == 0 else None)
+
+
+def _edges_nonzero(g: BinaryForm) -> bool:
+    return g.coeffs[0] * g.coeffs[-1] != 0
 
 
 def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
-    idx = _admissible_index(state["cube"], cfg.seed, k)
+    idx = chowla_bh.accepted_draw_index(state["cube"], cfg.seed, k, _edges_nonzero)
     form = state["cube"].sample(cfg.seed, idx)
     inst = chatelet.ChateletInstance(field=state["field"], form=form)
     region = state["region"]
@@ -374,24 +387,6 @@ def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
         "statistic": gap / err if err > 0 else (0.0 if gap == 0 else None),
         "H": cfg.H,
     }
-
-
-_RECORD_FNS: dict[str, Callable] = {
-    "chowla": _chowla_record,
-    "bh": _bh_record,
-    "hasse": _hasse_record,
-    "density": _density_record,
-}
-
-
-def _record_for_index(cfg: ExperimentConfig, i: int) -> dict:
-    state = _state_for(cfg)
-    try:
-        return _RECORD_FNS[cfg.kind](cfg, state, i)
-    except ResourceLimitError as exc:
-        # budget overruns are data, not crashes
-        return {"record": "error", "index": i, "error": str(exc),
-                "statistic": None, "H": cfg.H}
 
 
 def _density_prefix(cfg: ExperimentConfig, state: dict) -> list[dict]:
@@ -420,20 +415,157 @@ def _density_prefix(cfg: ExperimentConfig, state: dict) -> list[dict]:
     return rows
 
 
+def _density_summary(records: list[dict]) -> list[tuple]:
+    rows: list[tuple] = []
+    for r in records:
+        if r.get("record") == "integral":
+            rows.append(("bin_sum", _fmt(r["sum"])))
+            rows.append(("bin_sum_se", _fmt(r["se"])))
+            rows.append(("region_volume", _fmt(r["volume"])))
+            rows.append(("bin_sum_z", _fmt(r["z"]) if r["z"] is not None else ""))
+    inst = [r for r in records if r.get("record") == "instance"]
+    if inst:
+        rows.append(("instances_within_3se", sum(1 for r in inst if r["within"])))
+        rows.append(("instances", len(inst)))
+    return rows
+
+
+def _validate_verify(cfg: ExperimentConfig) -> None:
+    if cfg.suite not in SUITES:
+        raise ConfigError(f"suite must be one of {SUITES}")
+
+
+def _verify_prefix(cfg: ExperimentConfig, state: dict) -> list[dict]:
+    return [
+        {"record": "check", "suite": c.suite, "name": c.name, "ok": c.ok,
+         "detail": c.detail, "statistic": None, "H": cfg.H}
+        for c in verify_battery(cfg.suite)
+    ]
+
+
+def _verify_summary(records: list[dict]) -> list[tuple]:
+    checks = [r for r in records if r.get("record") == "check"]
+    return [("checks", len(checks)), ("failed", sum(1 for r in checks if not r["ok"]))]
+
+
+# ---------------------------------------------------------------------------
+# The registry.
+
+@dataclass(frozen=True)
+class Protocol:
+    """Everything one experiment kind defines, in one place.
+
+    `fields` are the config fields the kind reads; each is a flag of its
+    subcommand, with `flag_help` where the default alone does not explain
+    it.  `defaults` override ExperimentConfig's defaults for this kind.
+    A run writes the `prefix` rows, then `record(cfg, state, i)` for
+    i < `count(cfg)`; `state` is `build_state(cfg)`, built once per run.
+    `summary` maps the records to the kind's summary.csv rows.
+    """
+
+    help: str
+    fields: tuple[str, ...]
+    defaults: dict
+    validate: Callable[[ExperimentConfig], None]
+    build_state: Callable[[ExperimentConfig], dict]
+    record: Optional[Callable[[ExperimentConfig, dict, int], dict]]
+    summary: Callable[[list[dict]], list[tuple]]
+    prefix: Callable[[ExperimentConfig, dict], list[dict]] = lambda cfg, state: []
+    count: Callable[[ExperimentConfig], int] = lambda cfg: cfg.samples
+    flag_help: dict = dataclasses.field(default_factory=dict)
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "chowla": Protocol(
+        help="sign-correlation sup statistic over sampled forms",
+        fields=("d", "H", "c", "samples", "grid"),
+        defaults={"d": 3, "H": 1000, "c": 0.08, "samples": 200},
+        validate=_check_scale_exponent,
+        build_state=_chowla_state,
+        record=_chowla_record,
+        summary=_chowla_summary,
+    ),
+    "bh": Protocol(
+        help="prime-density correlations against the local product",
+        fields=("d", "H", "c", "x", "r", "samples", "min_series", "anchor"),
+        defaults={"d": 2, "H": 500, "c": 0.05, "x": 300, "r": 1, "samples": 50},
+        validate=_validate_bh,
+        build_state=_bh_state,
+        record=_bh_record,
+        summary=_bh_summary,
+        count=lambda cfg: 1 if cfg.anchor else cfg.samples,
+        flag_help={"anchor": "single identity-form record (densities exactly known)"},
+    ),
+    "hasse": Protocol(
+        help="rational versus locally-solvable classes",
+        fields=("field", "d", "H", "height", "primes", "samples", "x", "w_desk",
+                "k_desk", "m_dk", "mc"),
+        defaults={"d": 2, "H": 20, "height": 200, "primes": 50, "samples": 400,
+                  "x": 20, "mc": 20000},
+        validate=_validate_local,
+        build_state=_local_state,
+        record=_hasse_record,
+        summary=_hasse_summary,
+    ),
+    "density": Protocol(
+        help="archimedean density bins and count-model records",
+        fields=("field", "d", "H", "x", "B", "mc", "samples", "bins", "w_desk", "k_desk"),
+        defaults={"d": 2, "H": 50, "x": 40, "samples": 0, "mc": 100000},
+        validate=_validate_density,
+        build_state=_density_state,
+        record=_density_record,
+        summary=_density_summary,
+        prefix=_density_prefix,
+    ),
+    "verify": Protocol(
+        help="run the exact check battery",
+        fields=("suite",),
+        defaults={"samples": 0},
+        validate=_validate_verify,
+        build_state=lambda cfg: {},
+        record=None,
+        summary=_verify_summary,
+        prefix=_verify_prefix,
+        count=lambda cfg: 0,
+        flag_help={"suite": f"one of {', '.join(SUITES)}"},
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# The runner.  The current run's state is built in the parent before the
+# pool forks and inherited by the workers.  Only that one state is held:
+# a long-lived process does not keep every earlier config's sieve and profile.
+
+_STATE: dict = {}
+
+
+def _hold_state(cfg: ExperimentConfig) -> dict:
+    _STATE.clear()
+    state = _STATE[cfg] = PROTOCOLS[cfg.kind].build_state(cfg)
+    return state
+
+
+def _state_for(cfg: ExperimentConfig) -> dict:
+    state = _STATE.get(cfg)
+    return _hold_state(cfg) if state is None else state
+
+
+def _record_for_index(cfg: ExperimentConfig, i: int) -> dict:
+    state = _state_for(cfg)
+    try:
+        return PROTOCOLS[cfg.kind].record(cfg, state, i)
+    except ResourceLimitError as exc:
+        # budget overruns are data, not crashes
+        return {"record": "error", "index": i, "error": str(exc),
+                "statistic": None, "H": cfg.H}
+
+
 def compute_records(cfg: ExperimentConfig) -> list[dict]:
     """All records for the run, ordered; parallel over sample indices."""
-    if cfg.kind == "verify":
-        return [
-            {"record": "check", "suite": c.suite, "name": c.name, "ok": c.ok,
-             "detail": c.detail, "statistic": None, "H": cfg.H}
-            for c in verify_battery(cfg.suite)
-        ]
-    n = 1 if (cfg.kind == "bh" and cfg.anchor) else cfg.samples
-    prefix: list[dict] = []
-    _STATE[cfg] = _build_state(cfg)
-    if cfg.kind == "density":
-        prefix = _density_prefix(cfg, _STATE[cfg])
-    idxs = list(range(n))
+    protocol = PROTOCOLS[cfg.kind]
+    prefix = protocol.prefix(cfg, _hold_state(cfg))
+    idxs = list(range(protocol.count(cfg)))
     w = effective_workers(cfg.workers)
     if w <= 1 or len(idxs) <= 1:
         recs = [_record_for_index(cfg, i) for i in idxs]
@@ -497,7 +629,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     # reruns into a different directory or pool size summarize identically
     rows += sorted((k, v) for k, v in cfg.to_dict().items()
                    if k not in ("kind", "out", "workers"))
-    rows += _summary_extras(cfg, records)
+    errors = sum(1 for r in records if r.get("record") == "error")
+    rows.append(("sample_errors", errors))
+    rows += PROTOCOLS[cfg.kind].summary(records)
     rows += _table_rows(table)
     summary = out / "summary.csv"
     with open(summary, "w") as fh:
@@ -525,58 +659,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _summary_extras(cfg: ExperimentConfig, records: list[dict]) -> list[tuple]:
-    rows: list[tuple] = []
-    errors = sum(1 for r in records if r.get("record") == "error")
-    rows.append(("sample_errors", errors))
-    if cfg.kind == "hasse":
-        counts = {k: 0 for k in chatelet._CLASSES}
-        violations = 0
-        for r in records:
-            if r.get("record") != "sample":
-                continue
-            counts[r["class"]] += 1
-            if r["class"] == "rational-point-found" and any(
-                v == "no" for v in r["padic"].values()
-            ):
-                violations += 1
-        for klass, n in counts.items():
-            rows.append((f"count_{klass}", n))
-        found, unknown = counts["rational-point-found"], counts["unknown"]
-        ratio = found / (found + unknown) if found + unknown else ""
-        rows.append(("ratio_lower_bound", ratio))
-        rows.append(("violations", violations))
-    if cfg.kind == "density":
-        for r in records:
-            if r.get("record") == "integral":
-                rows.append(("bin_sum", _fmt(r["sum"])))
-                rows.append(("bin_sum_se", _fmt(r["se"])))
-                rows.append(("region_volume", _fmt(r["volume"])))
-                rows.append(("bin_sum_z", _fmt(r["z"]) if r["z"] is not None else ""))
-        inst = [r for r in records if r.get("record") == "instance"]
-        if inst:
-            rows.append(("instances_within_3se", sum(1 for r in inst if r["within"])))
-            rows.append(("instances", len(inst)))
-    if cfg.kind == "bh":
-        ratios = [r["ratio"] for r in records if r.get("ratio") is not None]
-        ratios_w = [r["ratio_w"] for r in records if r.get("ratio_w") is not None]
-        if ratios:
-            rows.append(("median_abs_ratio_gap",
-                         _fmt(float(np.median([abs(t - 1) for t in ratios])))))
-        if ratios_w:
-            rows.append(("median_abs_ratio_w_gap",
-                         _fmt(float(np.median([abs(t - 1) for t in ratios_w])))))
-    if cfg.kind == "chowla":
-        stats = [r["statistic"] for r in records if r.get("statistic") is not None]
-        if stats:
-            rows.append(("median_statistic", _fmt(float(np.median(stats)))))
-    if cfg.kind == "verify":
-        checks = [r for r in records if r.get("record") == "check"]
-        rows.append(("checks", len(checks)))
-        rows.append(("failed", sum(1 for r in checks if not r["ok"])))
-    return rows
 
 
 def _table_rows(table: dict) -> list[tuple]:

@@ -545,12 +545,6 @@ class RegionB:
         self._hist = {int(u): int(c) for u, c in zip(uniq, cnt)}
         return self._hist
 
-    def lattice_point_count(self) -> int:
-        total = 1
-        for lo, hi in self.lattice_bounds():
-            total *= max(0, hi - lo + 1)
-        return total
-
 
 def _basepoint(norm: NormForm, sign: int) -> tuple[float, ...]:
     e = norm.field.degree
@@ -625,11 +619,6 @@ def _mp_box_range(poly: MPoly, center, kappa) -> tuple[float, float]:
     return lo, hi
 
 
-def count_RK(norm: NormForm, n: int, region: RegionB) -> int:
-    """#{lattice points in the scaled box with norm exactly n}."""
-    return region.histogram().get(int(n), 0)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo real density.
 
@@ -690,18 +679,3 @@ class DensityProfile:
         est = mean * scale
         se = math.sqrt(var / self.samples) * scale
         return est, se
-
-
-def omega_density(
-    norm: NormForm,
-    y: float,
-    region: RegionB,
-    samples: int,
-    seed: int,
-    half_width=None,
-) -> tuple[float, float]:
-    """MC estimate of the real density of norm values near y."""
-    if region.norm.field != norm.field:
-        raise ValueError("region was built for a different norm form")
-    prof = DensityProfile.draw(region, samples, seed, half_width)
-    return prof.estimate(float(y))

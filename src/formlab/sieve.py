@@ -357,11 +357,6 @@ def threshold_x1(x: float) -> float:
     return math.exp(math.sqrt(math.log(x)) / math.log(math.log(x)))
 
 
-def threshold_x2(x: float) -> float:
-    """Secondary scale: square root of the main one."""
-    return math.sqrt(threshold_x1(x))
-
-
 def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:
     """Exact #{(v1,v2) in [1,x]^2 : q | v1^a v2^b (v1^c - v2^c)}.
 

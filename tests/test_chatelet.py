@@ -1,4 +1,4 @@
-"""Local-global solvability, densities, counting, and the experiment layer.
+"""Local-global solvability, densities, counting, and the hasse/density kinds.
 
 Brute-force oracles are written independently of the implementation:
 sigma by full residue enumeration, the p-adic verdicts by exhaustive
@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formlab import arith, chatelet as ch, forms
+from formlab import arith, chatelet as ch, forms, harness
 from formlab.errors import ResourceLimitError
-from formlab.forms import BinaryForm, CombinatorialCube
+from formlab.forms import BinaryForm
 from formlab.normforms import (
     DensityProfile,
     NormForm,
@@ -327,34 +327,31 @@ def test_hensel_lower_bound_for_certified_yes(Qi):
 # ---------------------------------------------------------------------------
 # Euler product.
 
+def _local_factor(field, form, p, k_desk):
+    """alpha_p * xi_p, xi_p = 1 + sum_j b(p^j) #{g = 0 mod p^j} / p^(2j), j <= k e."""
+    loc = ch.normforms.DedekindLocal.build(field, p)
+    xi = 1 + sum(loc.b(j, k_desk) * Fraction(forms.zero_count_prime_power(form, p, j),
+                                             p ** (2 * j))
+                 for j in range(1, k_desk * field.degree + 1))
+    return loc.alpha() * xi
+
+
 def test_euler_product_exact_worked_value(Qi):
     # K = Q(i), g = u^2+v^2, primes 3,5,7: per-prime local factors
     # (4/3)(11/12), (4/5)(29/20), (8/7)(55/56)
-    val = ch.euler_product_lower(inst_of(Qi, [1, 0, 1]), w_desk=7, m_dk=2, k_desk=1)
-    assert abs(val - float(Fraction(17545, 11025))) < 1e-12
-    assert val > 0
-
-
-def test_euler_product_empty_when_content_covers(Qi):
-    assert ch.euler_product_lower(inst_of(Qi, [6, 0, 6]), w_desk=3, m_dk=1) == 1.0
+    g = BinaryForm([1, 0, 1])
+    factors = [_local_factor(Qi, g, p, 1) for p in (3, 5, 7)]
+    assert factors == [Fraction(4, 3) * Fraction(11, 12), Fraction(4, 5) * Fraction(29, 20),
+                       Fraction(8, 7) * Fraction(55, 56)]
+    assert factors[0] * factors[1] * factors[2] == Fraction(17545, 11025)
 
 
 def test_euler_product_unit_xi_at_two(Qi):
     # b(2^j) vanishes for Q(i) (beta = alpha there), so xi_2 = 1 and the
-    # product collapses to alpha_2 = 1
+    # local factor collapses to alpha_2 = 1
     loc = ch.normforms.DedekindLocal.build(Qi, 2)
     assert loc.b(1, 1) == 0 and loc.b(2, 1) == 0
-    assert ch.euler_product_lower(inst_of(Qi, [1, 1, 1]), w_desk=2, m_dk=1, k_desk=1) == 1.0
-
-
-def test_log_power_shape_constant():
-    assert ch.c_de(2, 2) == 2 + 4 * 3**4
-    assert ch.c_de(3, 3) == 3 + 9 * 4**5
-
-
-def test_full_scale_formulas():
-    assert ch.full_scale_precision(math.exp(math.e), 2, 1.0) == 2000
-    assert abs(ch.full_scale_w(math.exp(4.0)) - math.exp(2.0)) < 1e-12
+    assert _local_factor(Qi, BinaryForm([1, 1, 1]), 2, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -594,44 +591,45 @@ def test_classify_found_with_witness(Qi):
 
 
 def test_hasse_experiment_small(Qi):
-    cube = CombinatorialCube(degree=2, side=20)
-    rep = ch.hasse_experiment(cube, Qi, H=20, height_bound=60, prime_cutoff=20,
-                              samples=25, seed=3, mc_samples=2000)
-    assert sum(rep.counts.values()) == 25
-    assert rep.violations == 0
-    assert rep.budget_limited == 0
-    found = rep.counts["rational-point-found"]
-    unknown = rep.counts["unknown"]
-    if found + unknown:
-        assert rep.ratio_lower_bound == found / (found + unknown)
-    for s in rep.samples:
-        assert s.klass in ch._CLASSES
-        if s.klass == "rational-point-found":
-            assert all(v != "no" for _, v in s.padic)
-        if s.klass != "not-in-S":
-            assert s.Nc is not None and s.Nc_hat is not None
-            assert s.sigma_w0 is not None
-    assert rep.params["m_dk"] == 20  # unresolved constant is always reported
-    assert set(rep.quantile_curves) == {1, 2, 4}
+    cfg = harness.make_config("hasse", {"height": 60, "primes": 20, "samples": 25,
+                                        "seed": 3, "mc": 2000})
+    recs = harness.compute_records(cfg)
+    assert len(recs) == 25
+    for r in recs:
+        assert r["class"] in ch._CLASSES
+        assert "budget" not in r["padic"].values()
+        if r["class"] == "rational-point-found":
+            assert all(v != "no" for v in r["padic"].values())
+        # counting data is set exactly for the samples inside S
+        in_s = r["class"] != "not-in-S"
+        assert in_s == (r["Nc"] is not None) == (r["sigma_W0"] is not None)
+    rows = dict(harness.PROTOCOLS["hasse"].summary(recs))
+    assert sum(rows[f"count_{k}"] for k in ch._CLASSES) == 25
+    assert rows["violations"] == 0
+    found, unknown = rows["count_rational-point-found"], rows["count_unknown"]
+    assert rows["ratio_lower_bound"] == (found / (found + unknown) if found + unknown else "")
 
 
 def test_hasse_experiment_empty(Qi):
-    cube = CombinatorialCube(degree=2, side=20)
-    rep = ch.hasse_experiment(cube, Qi, H=20, height_bound=10, prime_cutoff=10,
-                              samples=0, seed=1, mc_samples=2000)
-    assert rep.ratio_lower_bound is None
-    assert sum(rep.counts.values()) == 0
+    cfg = harness.make_config("hasse", {"samples": 0, "seed": 1, "mc": 2000})
+    recs = harness.compute_records(cfg)
+    assert recs == []
+    rows = dict(harness.PROTOCOLS["hasse"].summary(recs))
+    assert rows["ratio_lower_bound"] == ""
+    assert sum(rows[f"count_{k}"] for k in ch._CLASSES) == 0
 
 
 def test_density_experiment_records(Qi):
-    recs, region = ch.density_experiment(Qi, H=50, x=40, samples=6, seed=7,
-                                         k_desk=1, w_desk=5, mc_samples=5000)
+    cfg = harness.make_config("density", {"H": 50, "x": 40, "samples": 6, "seed": 7,
+                                          "k_desk": 1, "w_desk": 5, "mc": 5000})
+    recs = [r for r in harness.compute_records(cfg) if r["record"] == "instance"]
+    region = harness._state_for(cfg)["region"]
     assert len(recs) == 6
-    assert [r.index for r in recs] == sorted(r.index for r in recs)
+    assert [r["draw"] for r in recs] == list(range(6))
+    assert [r["index"] for r in recs] == sorted(set(r["index"] for r in recs))
     for r in recs:
-        assert r.coeffs[0] * r.coeffs[-1] != 0
-        assert r.Nc == ch.count_Nc(inst_of(Qi, list(r.coeffs)), 40, region)
-        assert r.within == (abs(r.Nc - r.Nc_hat) <= 3 * r.Nc_err)
-    again, _ = ch.density_experiment(Qi, H=50, x=40, samples=6, seed=7,
-                                     k_desk=1, w_desk=5, mc_samples=5000)
+        assert r["coeffs"][0] * r["coeffs"][-1] != 0
+        assert r["Nc"] == ch.count_Nc(inst_of(Qi, r["coeffs"]), 40, region)
+        assert r["within"] == (abs(r["Nc"] - r["Nc_hat"]) <= 3 * r["Nc_err"])
+    again = [r for r in harness.compute_records(cfg) if r["record"] == "instance"]
     assert recs == again

@@ -4,6 +4,7 @@ Brute-force double sums and sympy factorizations serve as the oracles;
 library results are compared against them on worked examples and fuzz.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
+from formlab import harness
 from formlab.arith import primes
 from formlab.chowla_bh import (
     BHResult,
@@ -18,8 +20,6 @@ from formlab.chowla_bh import (
     accepted_draw_index,
     bh_admissible,
     bh_correlation,
-    bh_sample,
-    chowla_experiment,
     chowla_sample,
     chowla_statistic,
     exponent_cap,
@@ -158,28 +158,19 @@ def test_default_grid_shape(sieve_small):
     assert all(a < b for a, b in zip(stat.grid, stat.grid[1:]))
 
 
-def test_chowla_experiment_aggregation(sieve_small):
-    cube = CombinatorialCube(degree=2, side=9)
-    rep = chowla_experiment(cube, 10**4, 0.13, samples=8, decay=1.0, seed=5, sieve=sieve_small)
-    assert rep.samples == 8
-    assert rep.threshold == pytest.approx(1.0 / math.log(10**4))
-    stats = [
-        chowla_sample(cube, 10**4, 0.13, 5, i, sieve_small).statistic for i in range(8)
-    ]
-    assert list(rep.statistics) == stats
-    assert rep.exceptional_fraction == pytest.approx(
-        sum(1 for s in stats if s > rep.threshold) / 8
-    )
-    assert sum(rep.histogram_counts) == 8
-    assert rep.median == pytest.approx(float(np.median(stats)))
-    again = chowla_experiment(cube, 10**4, 0.13, samples=8, decay=1.0, seed=5, sieve=sieve_small)
-    assert again == rep
-
-
-def test_chowla_experiment_needs_dimension_two():
-    cube = CombinatorialCube(degree=1, side=5, fixed={0: 3})
-    with pytest.raises(ValueError):
-        chowla_experiment(cube, 1000, 0.1, 2, 1.0, 0, None)
+def test_chowla_experiment_aggregation(tmp_path, sieve_small):
+    out = tmp_path / "chowla"
+    harness.run(harness.make_config("chowla", {"d": 2, "H": 100, "c": 0.13, "samples": 8,
+                                               "seed": 5, "out": str(out)}))
+    recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    cube = CombinatorialCube(degree=2, side=100)
+    stats = [chowla_sample(cube, 100, 0.13, 5, i, sieve_small).statistic for i in range(8)]
+    assert [r["statistic"] for r in recs] == stats
+    rows = dict(line.split(",", 1)
+                for line in (out / "summary.csv").read_text().splitlines()[1:])
+    assert float(rows["median_statistic"]) == float(np.median(stats))
+    threshold = 1.0 / math.log(100)
+    assert float(rows["exceptional_A1"]) == sum(1 for s in stats if s > threshold) / 8
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +409,9 @@ def test_accepted_draw_stream():
 
 def test_bh_sample_deterministic(sieve_small):
     cube = CombinatorialCube(degree=2, side=20)
-    idx1, res1 = bh_sample(cube, 100, 7, 3, sieve_small)
-    idx2, res2 = bh_sample(cube, 100, 7, 3, sieve_small)
-    assert idx1 == idx2
-    assert res1 == res2
-    assert bh_admissible(res1.forms[0], 100)
+    pred = lambda g: bh_admissible(g, 100)
+    idx = accepted_draw_index(cube, 7, 3, pred)
+    assert idx == accepted_draw_index(cube, 7, 3, pred)
+    form = cube.sample(7, idx)
+    assert bh_admissible(form, 100)
+    assert bh_correlation([form], 100, sieve_small) == bh_correlation([form], 100, sieve_small)

@@ -307,23 +307,6 @@ def test_odd_degree_extreme_lower_bound():
         assert e.b_plus[1] >= want
 
 
-def test_classify_dyadic():
-    g = BinaryForm([1, 0, 1])  # extremes [1, 2]
-    assert forms.classify_dyadic(g, 2, 1) is True
-    assert forms.classify_dyadic(g, 7, -1) is False
-    assert forms.classify_dyadic(g, 4, 1) is False  # b+ = 2 <= 4/2
-    assert forms.classify_dyadic(g, 3, 1) is True  # 1.5 < 2 <= 3
-    uv = BinaryForm([0, 1, 0])
-    assert forms.classify_dyadic(uv, 1, -1) is True
-    assert forms.classify_dyadic(uv, 4, -1) is False
-    with pytest.raises(ValueError):
-        forms.classify_dyadic(g, 0, 1)
-    with pytest.raises(ValueError):
-        forms.classify_dyadic(g, 2, 3)
-    with pytest.raises(ValueError):
-        forms.classify_dyadic(g, 1, 1, H=100, A=1.0)  # below 2H/log H
-
-
 # -- gcd bound -----------------------------------------------------------------------
 
 def test_gcd_bound_worked():

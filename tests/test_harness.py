@@ -1,5 +1,6 @@
 """Configuration, the runner, persistence, summaries, CLI, and the battery."""
 
+import argparse
 import json
 import math
 import os
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import cli, harness
 from formlab.errors import ConfigError
+from formlab.normforms import field_presets
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,97 @@ def test_config_hash_stable():
     assert a.sha256() == b.sha256()
     c = harness.make_config("chowla", {"H": 98, "samples": 1})
     assert a.sha256() != c.sha256()
+
+
+# ---------------------------------------------------------------------------
+# The protocol registry.
+
+# every ExperimentConfig default, and each kind's overrides of it, as they
+# stood before config, CLI and defaults were derived from the registry
+_BASE_DEFAULTS = {
+    "field": "gaussian", "d": 2, "H": 100, "c": 0.05, "x": 300, "r": 1, "samples": 50,
+    "seed": 42, "height": 200, "primes": 100, "w_desk": 7, "k_desk": 2, "m_dk": 20,
+    "B": 12.0, "mc": 100000, "grid": 16, "min_series": 0.2, "anchor": False, "bins": 40,
+    "suite": "all", "out": "runs", "workers": 1,
+}
+_KIND_OVERRIDES = {
+    "chowla": {"d": 3, "H": 1000, "c": 0.08, "samples": 200},
+    "bh": {"H": 500},
+    "hasse": {"H": 20, "x": 20, "samples": 400, "primes": 50, "mc": 20000},
+    "density": {"H": 50, "x": 40, "samples": 0},
+    "verify": {"samples": 0},
+}
+_COMMON_FLAGS = {"seed", "out", "workers", "config"}
+
+
+def _subparser(kind: str) -> argparse.ArgumentParser:
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[kind]
+
+
+def test_registry_covers_every_kind():
+    assert set(harness.PROTOCOLS) == set(_KIND_OVERRIDES)
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_OVERRIDES))
+def test_registry_flags_and_defaults(kind):
+    actions = [a for a in _subparser(kind)._actions if a.dest != "help"]
+    assert {a.dest for a in actions} == set(harness.PROTOCOLS[kind].fields) | _COMMON_FLAGS
+    for a in actions:
+        assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+    expected = {"kind": kind, **_BASE_DEFAULTS, **_KIND_OVERRIDES[kind]}
+    assert harness.make_config(kind, {}).to_dict() == expected
+
+
+_FIELD_VALUES = {
+    "field": st.sampled_from(sorted(field_presets())),
+    "d": st.sampled_from([2, 6, 12]),
+    "c": st.floats(0.001, 0.02),  # inside the exponent window at d = 12
+    "x": st.integers(2, 500),
+    "B": st.floats(1.0, 50.0),
+    "mc": st.integers(1000, 10**6),
+    "min_series": st.floats(0.0, 1.0),
+    "anchor": st.booleans(),
+    "suite": st.sampled_from(harness.SUITES),
+    "seed": st.integers(0, 2**64 - 1),
+    "out": st.text(alphabet="abc/_.", min_size=1, max_size=8),
+}
+
+
+def _config_or_error(kind: str, settings: dict):
+    try:
+        return harness.make_config(kind, settings)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_OVERRIDES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cli_argv_matches_make_config(kind, data):
+    # the same config, or the same config error, whichever way the settings arrive
+    names = harness.PROTOCOLS[kind].fields + harness.COMMON_FIELDS
+    chosen = data.draw(st.fixed_dictionaries(
+        {}, optional={n: _FIELD_VALUES.get(n, st.integers(2, 60)) for n in names}
+    ))
+    argv = [kind]
+    for name, value in chosen.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    args = cli._build_parser().parse_args(argv)
+    assert _config_or_error(kind, cli._collect_settings(args)) == _config_or_error(kind, chosen)
+
+
+def test_state_holds_only_the_current_run():
+    first = harness.make_config("chowla", {"H": 50, "samples": 2})
+    second = harness.make_config("chowla", {"H": 60, "samples": 2})
+    harness.compute_records(first)
+    harness.compute_records(second)
+    assert list(harness._STATE) == [second]
 
 
 # ---------------------------------------------------------------------------

@@ -410,10 +410,8 @@ def test_region_histogram_brute(gaussian_norm, region12):
             n = u * u + v * v
             brute[n] = brute.get(n, 0) + 1
     assert hist == brute
-    assert sum(hist.values()) == region12.lattice_point_count()
-    some = next(iter(brute))
-    assert nf.count_RK(gaussian_norm, some, region12) == brute[some]
-    assert nf.count_RK(gaussian_norm, -1, region12) == 0
+    assert sum(hist.values()) == (uhi - ulo + 1) * (vhi - vlo + 1)
+    assert hist.get(-1, 0) == 0
 
 
 def test_region_support_bounds_values(gaussian_norm, region12):
@@ -453,7 +451,7 @@ def test_region_budget(gaussian_norm):
 def test_region_cubic(presets):
     norm = nf.NormForm(presets["cbrt2"])
     r = nf.RegionB(norm, 1, 6.0)
-    assert sum(r.histogram().values()) == r.lattice_point_count()
+    assert sum(r.histogram().values()) == math.prod(hi - lo + 1 for lo, hi in r.lattice_bounds())
     lo, hi = r.support
     assert lo > 0
 
@@ -461,7 +459,7 @@ def test_region_cubic(presets):
 # --- real density estimates --------------------------------------------
 
 def test_omega_center_positive(gaussian_norm, region12):
-    est, se = nf.omega_density(gaussian_norm, 72.0, region12, 20000, 7)
+    est, se = nf.DensityProfile.draw(region12, 20000, 7).estimate(72.0)
     assert est > 0
     assert se > 0
 
@@ -469,9 +467,10 @@ def test_omega_center_positive(gaussian_norm, region12):
 def test_omega_outside_support_zero(gaussian_norm, region12):
     lo, hi = region12.support
     h = region12.B**2 / 200.0
-    est, se = nf.omega_density(gaussian_norm, hi + 2 * h + 5, region12, 5000, 3)
+    prof = nf.DensityProfile.draw(region12, 5000, 3)
+    est, se = prof.estimate(hi + 2 * h + 5)
     assert est == 0.0 and se == 0.0
-    est, se = nf.omega_density(gaussian_norm, lo - 2 * h - 5, region12, 5000, 3)
+    est, se = prof.estimate(lo - 2 * h - 5)
     assert est == 0.0
 
 
@@ -514,9 +513,3 @@ def test_density_profile_determinism(region12):
     assert not np.array_equal(a.values, c.values)
     with pytest.raises(ValueError):
         nf.DensityProfile.draw(region12, 100, 1)
-
-
-def test_omega_region_field_check(presets, region12):
-    other = nf.NormForm(presets["sqrt2"])
-    with pytest.raises(ValueError):
-        nf.omega_density(other, 72.0, region12, 2000, 1)

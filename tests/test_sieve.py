@@ -250,7 +250,6 @@ def test_exceptional_moduli_planted():
 def test_thresholds():
     x1 = sv.threshold_x1(10**6)
     assert abs(x1 - math.exp(math.sqrt(math.log(10**6)) / math.log(math.log(10**6)))) < 1e-12
-    assert abs(sv.threshold_x2(10**6) - math.sqrt(x1)) < 1e-12
     assert sv.threshold_x1(10**8) > x1
     with pytest.raises(ValueError):
         sv.threshold_x1(10)
