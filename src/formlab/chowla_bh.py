@@ -18,7 +18,7 @@ import numpy as np
 
 from . import arith
 from .errors import ResourceLimitError
-from .forms import BinaryForm, CombinatorialCube, zero_count_mod, zero_count_mod_prime_fast
+from .forms import BinaryForm, CombinatorialCube, zero_count_mod_prime_fast
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7

@@ -79,9 +79,10 @@ def _run_experiment(args: argparse.Namespace) -> int:
         total = manifest.records
         print(f"{total - failed}/{total} checks passed")
         return 3 if failed else 0
-    if cfg.kind in ("hasse", "density"):
-        # the small-prime threshold is a desk choice, not a derived value
-        print(f"m_dk={cfg.m_dk} w_desk={cfg.w_desk} k_desk={cfg.k_desk}")
+    desk = harness.desk_fields(cfg.kind)
+    if desk:
+        # desk choices, not derived values
+        print(" ".join(f"{name}={getattr(cfg, name)}" for name in desk))
     print(f"results: {out / 'results.jsonl'} ({manifest.records} records)")
     print(f"summary: {out / 'summary.csv'}")
     print(f"manifest: {out / 'manifest.json'}")

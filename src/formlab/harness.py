@@ -268,6 +268,16 @@ def _bh_summary(records: list[dict]) -> list[tuple]:
     return rows
 
 
+# Desk choices of the local-count kinds: the small-prime threshold m_dk
+# and the model modulus's prime window w_desk and exponent k_desk.
+DESK_FIELDS = ("m_dk", "w_desk", "k_desk")
+
+
+def desk_fields(kind: str) -> tuple[str, ...]:
+    """The desk fields that `kind` reads, in DESK_FIELDS order."""
+    return tuple(n for n in DESK_FIELDS if n in PROTOCOLS[kind].fields)
+
+
 def _validate_local(cfg: ExperimentConfig) -> None:
     """Checks shared by the kinds that count points on N_K(x) = g(u, v)."""
     presets = field_presets()
@@ -278,8 +288,9 @@ def _validate_local(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field degree {e} must divide form degree {cfg.d}")
     if cfg.x < 1:
         raise ConfigError("x must be positive")
-    if min(cfg.w_desk, cfg.k_desk, cfg.m_dk) < 1:
-        raise ConfigError("w_desk, k_desk, m_dk must be positive")
+    desk = desk_fields(cfg.kind)
+    if min(getattr(cfg, name) for name in desk) < 1:
+        raise ConfigError(f"{', '.join(desk)} must be positive")
 
 
 def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:

@@ -1,11 +1,21 @@
 """Smallest-prime-factor sieve and exact arithmetic functions.
 
 A SieveTable answers factor / lambda / mu / Lambda / tau_B queries
-exactly for 1 <= n <= bound in O(log n) per query, with an exact
-fallback (table-prime trial division, then deterministic Miller-Rabin,
-then Pollard rho) for values beyond the bound.  Bulk tables and
-vectorized evaluators cover the statistic pipelines.  Memory cost is
-four bytes per entry (uint32 spf array).
+exactly for 1 <= n <= bound in O(log n) per query from one uint32 spf
+array (four bytes per entry); beyond the bound, factor trial-divides by
+the table's primes and finishes with deterministic Miller-Rabin and
+Pollard rho.  Bulk lambda and mu tables cover the statistic pipelines.
+
+mangoldt_values is one vectorized layer for every magnitude.  It finds
+the p with |n| = p^k over the sorted unique magnitudes: n <= bound is
+prime when spf[n] == n; bound < n < 2**31 is prime when it survives
+trial division by the primes up to 61 and the strong-probable-prime
+test to bases 2, 7 and 61, which has no composite passer below
+4,759,123,141 (Jaeschke, Math. Comp. 61, 1993); residues stay below
+2**31, so every int64 product is exact.  Powers p^k (k >= 2) below 2**31
+come from a per-call table of the primes up to sqrt(max |n|).  Only
+magnitudes >= 2**31 take the scalar _prime_power_base.  Every value is
+math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
 
 Also provides the arithmetic-progression discrepancy report used to
 probe equidistribution of a value sequence, and the exact pair count
@@ -18,7 +28,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +37,17 @@ from . import arith
 _MAGIC = b"FRMLSPF1"
 
 _ENUM_BUDGET = 10**8
+
+# mangoldt_values decides magnitudes below this with int64 arithmetic:
+# a product of two residues stays below 2**62.
+_VECTOR_LIMIT = 1 << 31
+
+# Strong-probable-prime bases, deterministic below 4,759,123,141.
+_SPRP_BASES = (2, 7, 61)
+
+# Trial divisors before the strong test; they include every base, so a
+# survivor n is coprime to each base.
+_TRIAL_PRIMES = tuple(arith.primes(61))
 
 
 class Mangoldt(NamedTuple):
@@ -63,7 +84,6 @@ class SieveTable:
         self._primes: list[int] | None = None
         self._liouville_table: np.ndarray | None = None
         self._mobius_table: np.ndarray | None = None
-        self._mangoldt_table: np.ndarray | None = None
 
     @staticmethod
     def _build(bound: int) -> np.ndarray:
@@ -203,19 +223,6 @@ class SieveTable:
             self._mobius_table = mu
         return self._mobius_table
 
-    def mangoldt_table(self) -> np.ndarray:
-        """float64 array with Lambda(n) at prime powers, 0 elsewhere."""
-        if self._mangoldt_table is None:
-            lam = np.zeros(self.bound + 1, dtype=np.float64)
-            for p in self.primes():
-                logp = math.log(p)
-                q = p
-                while q <= self.bound:
-                    lam[q] = logp
-                    q *= p
-            self._mangoldt_table = lam
-        return self._mangoldt_table
-
     # -- vectorized evaluators -------------------------------------------
 
     def liouville_values(self, values) -> np.ndarray:
@@ -230,45 +237,88 @@ class SieveTable:
         return out
 
     def mangoldt_values(self, values) -> np.ndarray:
-        """Vectorized Lambda over int64 magnitudes of arbitrary size."""
-        arr = np.abs(np.asarray(values, dtype=np.int64)).ravel()
-        uniq, inverse = np.unique(arr, return_inverse=True)
+        """Vectorized Lambda over int64 values of any size."""
+        mags = np.abs(np.asarray(values, dtype=np.int64))
+        # viewed as uint64 (no copy), the wrapped magnitude of -2**63 reads 2**63
+        uniq, inverse = np.unique(mags.ravel().view(np.uint64), return_inverse=True)
+        base = self._prime_power_bases(uniq)
         out_u = np.zeros(len(uniq), dtype=np.float64)
-        small = uniq <= self.bound
-        table = self.mangoldt_table()
-        out_u[small] = table[uniq[small]]
-        big_idx = np.nonzero(~small)[0]
-        if len(big_idx):
-            out_u[big_idx] = self._mangoldt_strip(uniq[big_idx])
-        return out_u[inverse].reshape(np.asarray(values).shape)
+        hit = np.nonzero(base)[0]
+        out_u[hit] = [math.log(p) for p in base[hit].tolist()]
+        return out_u[inverse].reshape(mags.shape)
 
-    def _mangoldt_strip(self, vals: np.ndarray) -> np.ndarray:
-        # Divide out primes <= 1000; a prime-power survivor has at most
-        # one recorded small prime and cofactor 1, or no small prime and
-        # a cofactor that is itself p^k with p > 1000.
-        work = vals.astype(np.int64).copy()
-        first_prime = np.zeros(len(vals), dtype=np.int64)
-        dead = np.zeros(len(vals), dtype=bool)  # two distinct primes seen
-        for p in self.primes():
-            if p > 1000:
-                break
-            mask = work % p == 0
-            if not mask.any():
-                continue
-            dead |= mask & (first_prime != 0) & (first_prime != p)
-            first_prime[mask & (first_prime == 0)] = p
-            while mask.any():
-                work[mask] //= p
-                mask &= work % p == 0
-        out = np.zeros(len(vals), dtype=np.float64)
-        pure_small = (~dead) & (work == 1) & (first_prime != 0)
-        out[pure_small] = np.log(first_prime[pure_small].astype(np.float64))
-        hard = np.nonzero((~dead) & (work > 1) & (first_prime == 0))[0]
-        for i in hard:
-            base = _prime_power_base(int(work[i]))
-            if base:
-                out[i] = math.log(base)
-        return out
+    def _prime_power_bases(self, n: np.ndarray) -> np.ndarray:
+        """p where n = p^k (k >= 1), else 0; n sorted, unique uint64."""
+        base = np.zeros(len(n), dtype=np.int64)
+        lo, hi = np.searchsorted(n, (2, _VECTOR_LIMIT))
+        vec = n[lo:hi].astype(np.int64)
+        if len(vec):
+            cut = np.searchsorted(vec, self.bound, side="right")
+            prime = np.concatenate(
+                (self._spf[vec[:cut]] == vec[:cut], _is_prime_vec(vec[cut:]))
+            )
+            found = np.where(prime, vec, 0)
+            powers, roots = _prime_power_table(int(vec[-1]))
+            if len(powers):
+                pos = np.minimum(np.searchsorted(powers, vec), len(powers) - 1)
+                is_power = powers[pos] == vec
+                found[is_power] = roots[pos[is_power]]
+            base[lo:hi] = found
+        for i in range(hi, len(n)):
+            base[i] = _prime_power_base(int(n[i])) or 0
+        return base
+
+
+def _is_prime_vec(n: np.ndarray) -> np.ndarray:
+    """Exact primality of each int64 entry, 2 <= n < 2**31."""
+    prime = np.isin(n, _TRIAL_PRIMES)
+    idx = np.nonzero(~prime)[0]
+    for p in _TRIAL_PRIMES:
+        idx = idx[n[idx] % p != 0]
+    for a in _SPRP_BASES:
+        idx = idx[_strong_probable_prime(n[idx], a)]
+    prime[idx] = True
+    return prime
+
+
+def _strong_probable_prime(n: np.ndarray, a: int) -> np.ndarray:
+    """Strong test of odd n > a, coprime to a; residues stay below 2**31."""
+    d = n - 1
+    s_max = 0
+    even = (d & 1) == 0
+    while even.any():
+        d[even] >>= 1
+        s_max += 1
+        even = (d & 1) == 0
+    x = np.ones(len(n), dtype=np.int64)
+    sq = np.full(len(n), a, dtype=np.int64)
+    e = d
+    while e.any():
+        x = np.where((e & 1) == 1, x * sq % n, x)
+        sq = sq * sq % n
+        e = e >> 1
+    ok = (x == 1) | (x == n - 1)
+    # One squaring count serves the batch: with n - 1 = d * 2^s, no square
+    # a^(d * 2^r) with r >= s is -1 mod n, since that would make every
+    # prime factor of n, and so n itself, 1 mod 2^(s + 1).
+    for _ in range(1, s_max):
+        x = x * x % n
+        ok |= x == n - 1
+    return ok
+
+
+def _prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted prime powers p^k <= limit with k >= 2, and their primes p."""
+    ps = np.array(arith.primes(math.isqrt(limit)), dtype=np.int64)
+    powers, roots = [ps * ps], [ps]
+    while len(roots[-1]):
+        q = powers[-1] * roots[-1]
+        keep = q <= limit
+        powers.append(q[keep])
+        roots.append(roots[-1][keep])
+    powers_a, roots_a = np.concatenate(powers), np.concatenate(roots)
+    order = np.argsort(powers_a)
+    return powers_a[order], roots_a[order]
 
 
 def _prime_power_base(n: int) -> int | None:
@@ -348,13 +398,6 @@ def exceptional_moduli(
                 out.append(q)
             q *= p
     return tuple(sorted(out))
-
-
-def threshold_x1(x: float) -> float:
-    """Main localization scale exp(sqrt(log x)/log log x); needs x >= 16."""
-    if x < 16:
-        raise ValueError("threshold requires x >= 16")
-    return math.exp(math.sqrt(math.log(x)) / math.log(math.log(x)))
 
 
 def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:

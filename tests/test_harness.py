@@ -471,3 +471,18 @@ def test_cli_run_prints_mdk_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "m_dk=20" in out
+
+
+def test_cli_banner_shows_only_the_desk_fields_read(tmp_path, capsys):
+    # density reads w_desk and k_desk but not m_dk, so it neither checks nor prints m_dk
+    assert harness.desk_fields("hasse") == ("m_dk", "w_desk", "k_desk")
+    assert harness.desk_fields("density") == ("w_desk", "k_desk")
+    assert harness.desk_fields("bh") == ()
+    harness.make_config("density", {"m_dk": 0})
+    with pytest.raises(ConfigError, match="m_dk"):
+        harness.make_config("hasse", {"m_dk": 0})
+    code = cli.main(["density", "--mc", "1000", "--bins", "4", "--w-desk", "5",
+                     "--k-desk", "1", "--out", str(tmp_path / "d")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "w_desk=5 k_desk=1"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formlab import sieve as sv
 
@@ -157,7 +159,7 @@ def test_divisor_sum_growth(sieve_1m):
 def test_tables_match_scalars(sieve_small):
     lt = sieve_small.liouville_table()
     mt = sieve_small.mobius_table()
-    gt = sieve_small.mangoldt_table()
+    gt = sieve_small.mangoldt_values(np.arange(sieve_small.bound + 1))
     assert lt[0] == 0 and mt[0] == 0 and gt[0] == 0.0
     for n in list(range(1, 300)) + [9973, 10000]:
         assert lt[n] == sieve_small.liouville(n)
@@ -181,6 +183,41 @@ def test_mangoldt_values_vectorized(sieve_small):
     for v, g in zip(vals, got):
         tag = sieve_small.mangoldt(v)
         assert abs(g - tag.value) < 1e-12, v
+
+
+_BOUNDS = (2, 30, 1000, 10**4)  # 2 and 30 sit below the layer's trial-division primes
+_TABLES = {b: sv.SieveTable(b) for b in _BOUNDS}
+_PRIMES = [p for p in range(2, 3000) if oracle_factor(p) == {p: 1}]
+# primes around sqrt(2^31) = 46340.95, so p^2 straddles 2^31
+_NEAR_ROOT = [p for p in range(46200, 46500) if oracle_factor(p) == {p: 1}]
+# strong pseudoprimes to the bases (2), (2, 3), (2, 3, 5), (2, 3, 5, 7) and
+# (2, 7, 61), then Carmichael numbers
+_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 4759123141,
+                 561, 41041, 825265, 321197185]
+
+_magnitudes = st.one_of(
+    st.integers(0, 200),
+    st.sampled_from(_BOUNDS).flatmap(lambda b: st.integers(max(0, b - 40), b + 40)),
+    st.integers(2**31 - 300, 2**31 + 300),
+    st.integers(0, 10**10),
+    st.sampled_from(_PSEUDOPRIMES),
+    st.tuples(st.sampled_from(_PRIMES), st.integers(1, 3)).map(lambda t: t[0] ** t[1]),
+    st.tuples(st.sampled_from(_NEAR_ROOT), st.integers(1, 2)).map(lambda t: t[0] ** t[1]),
+)
+_values = st.lists(st.tuples(_magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
+                   max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound=st.sampled_from(_BOUNDS), values=_values)
+@example(bound=2, values=_PSEUDOPRIMES)
+@example(bound=1000, values=[-v for v in _PSEUDOPRIMES] + [-2**63, 2**63 - 1])
+@example(bound=2, values=[0, 1, -1, 2, 3, 5, 7, 11, 53, 59, 61, 67, 4, 8, 49, 3721, 4489])
+def test_mangoldt_values_match_scalar(bound, values):
+    table = _TABLES[bound]
+    arr = np.array(values, dtype=np.int64)
+    want = np.array([table.mangoldt(int(v)).value for v in arr], dtype=np.float64)
+    assert table.mangoldt_values(arr).tobytes() == want.tobytes()
 
 
 def test_liouville_values_vectorized(sieve_small):
@@ -245,14 +282,6 @@ def test_exceptional_moduli_planted():
     for q in got:
         fac = oracle_factor(q)
         assert len(fac) == 1  # prime power invariant
-
-
-def test_thresholds():
-    x1 = sv.threshold_x1(10**6)
-    assert abs(x1 - math.exp(math.sqrt(math.log(10**6)) / math.log(math.log(10**6)))) < 1e-12
-    assert sv.threshold_x1(10**8) > x1
-    with pytest.raises(ValueError):
-        sv.threshold_x1(10)
 
 
 # -- prime power pair counts ---------------------------------------------------
