@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,18 +50,21 @@ class ChowlaStat:
     trace: tuple[tuple[float, float], ...]  # (x, |S(x)|/x^2) per grid point
 
 
-def _chowla_grid(lo: float, hi: float, grid_size) -> list[float]:
+@lru_cache(maxsize=64)
+def _chowla_grid(lo: float, hi: float, grid_size) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Window points in [lo, hi] and their floors, capped at floor(hi); shared by a run."""
     if grid_size == "all":
         # The double sum is constant between consecutive integers and the
         # normalizer 1/x^2 decreases, so the real sup over [lo, hi] is
         # attained at lo or just after an integer: checking lo and every
         # integer in (lo, hi] gives the exact supremum.
         xs = [lo] + [float(k) for k in range(math.floor(lo) + 1, math.floor(hi) + 1)]
-        return xs
-    if grid_size < 1:
+    elif grid_size < 1:
         raise ValueError("grid_size must be >= 1 or 'all'")
-    xs = np.geomspace(lo, hi, int(grid_size)).tolist()
-    return sorted(set([lo, hi] + xs))
+    else:
+        xs = sorted(set([lo, hi] + np.geomspace(lo, hi, int(grid_size)).tolist()))
+    top = math.floor(hi)
+    return tuple(xs), tuple(min(math.floor(x), top) for x in xs)
 
 
 def chowla_statistic(
@@ -72,8 +76,9 @@ def chowla_statistic(
 ) -> ChowlaStat:
     """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2.
 
-    The sum runs over 1 <= u, v <= floor(x) and is maintained
-    incrementally in one pass, so the full grid costs a single sweep.
+    The sum runs over 1 <= u, v <= floor(x).  g and lambda are evaluated
+    once on the whole [1, floor(2H^c)]^2 square; the sum over [1, n]^2 is
+    the n-th diagonal entry of its 2-D prefix sum, in exact int64.
     """
     d = form.degree
     if not 0 < exponent < exponent_cap(d):
@@ -82,58 +87,27 @@ def chowla_statistic(
         raise ValueError("scale must be >= 3")
     lo = float(scale) ** exponent
     hi = 2.0 * lo
-    xs = _chowla_grid(lo, hi, grid_size)
     top = math.floor(hi)
     if top * top > _GRID_BUDGET:
         raise ResourceLimitError("scale window too large for the double-sum budget")
+    xs, floors = _chowla_grid(lo, hi, grid_size)
     if sum(abs(c) for c in form.coeffs) * max(top, 1) ** d >= 2**62:
         raise ResourceLimitError("form values overflow the int64 layer sums")
 
-    # running sum over the square [1, n]^2, extended one layer at a time
-    layer_sums = np.zeros(top + 1, dtype=np.int64)  # S(n^2 square)
-    running = 0
-    for n in range(1, top + 1):
-        row_u = np.arange(1, n + 1, dtype=np.int64)
-        vals_row = _eval_row(form, row_u, n)  # g(u, n), u <= n
-        running += int(sieve.liouville_values(vals_row).sum(dtype=np.int64))
-        if n > 1:
-            col_v = np.arange(1, n, dtype=np.int64)
-            vals_col = _eval_col(form, n, col_v)  # g(n, v), v < n
-            running += int(sieve.liouville_values(vals_col).sum(dtype=np.int64))
-        layer_sums[n] = running
-
-    trace = []
-    best = 0.0
-    for x in xs:
-        fl = min(math.floor(x), top)
-        val = abs(int(layer_sums[fl])) / (x * x) if fl >= 1 else 0.0
-        trace.append((float(x), val))
-        best = max(best, val)
+    lam = sieve.liouville_values(_form_grid(form, top))
+    layer_sums = np.zeros(top + 1, dtype=np.int64)  # S(n) over the square [1, n]^2
+    layer_sums[1:] = lam.cumsum(0, dtype=np.int64).cumsum(1).diagonal()
+    x = np.array(xs)
+    # float64 division, bit for bit the scalar abs(S) / (x * x)
+    vals = (np.abs(layer_sums[list(floors)]) / (x * x)).tolist()
     return ChowlaStat(
         form=form,
         scale=scale,
         exponent=exponent,
-        grid=tuple(float(x) for x in xs),
-        statistic=best,
-        trace=tuple(trace),
+        grid=xs,
+        statistic=max(vals),
+        trace=tuple(zip(xs, vals)),
     )
-
-
-def _eval_row(form: BinaryForm, us: np.ndarray, n: int) -> np.ndarray:
-    acc = np.full(us.shape, form.coeffs[0], dtype=np.int64)
-    npow = 1
-    for c in form.coeffs[1:]:
-        npow *= n
-        acc = acc * us + c * npow
-    return acc
-
-
-def _eval_col(form: BinaryForm, m: int, vs: np.ndarray) -> np.ndarray:
-    acc = np.full(vs.shape, form.coeffs[0] * m ** form.degree, dtype=np.int64)
-    d = form.degree
-    for i, c in enumerate(form.coeffs[1:], start=1):
-        acc = acc + c * m ** (d - i) * vs**i
-    return acc
 
 
 def chowla_sample(
@@ -243,23 +217,25 @@ class BHResult:
         return float(self.cramer / self.series) if self.series > 0 else None
 
 
+def _form_grid(g: BinaryForm, x: int) -> np.ndarray:
+    """g(m, n) for m, n in [1, x] (m down the rows), exact in int64.
+
+    g(m, n) = sum_i c_i m^(d-i) n^i is the product of two Vandermonde
+    matrices; the callers' overflow guards bound every partial sum.
+    """
+    powers = np.arange(1, x + 1, dtype=np.int64)[:, None] ** np.arange(g.degree + 1)
+    return (powers[:, ::-1] * np.array(g.coeffs, dtype=np.int64)) @ powers.T
+
+
 def _value_grids(forms: Sequence[BinaryForm], x: int) -> list[np.ndarray]:
     if x * x > _GRID_BUDGET:
         raise ResourceLimitError("correlation grid exceeds the budget")
     grids = []
     for g in forms:
-        d = g.degree
-        worst = sum(abs(c) for c in g.coeffs) * (x**d)
+        worst = sum(abs(c) for c in g.coeffs) * (x**g.degree)
         if worst >= 2**62:
             raise ResourceLimitError("form values overflow the int64 grid")
-        m = np.arange(1, x + 1, dtype=np.int64)[:, None]
-        n = np.arange(1, x + 1, dtype=np.int64)[None, :]
-        acc = np.full((x, x), g.coeffs[0], dtype=np.int64)
-        npow = np.ones((1, x), dtype=np.int64)
-        for c in g.coeffs[1:]:
-            npow = npow * n
-            acc = acc * m + c * npow
-        grids.append(acc)
+        grids.append(_form_grid(g, x))
     return grids
 
 

@@ -42,8 +42,8 @@ SUITES = ("all", "lemmas", "oracle")
 # config fields every kind reads; each is a flag on every experiment subcommand
 COMMON_FIELDS = ("seed", "out", "workers")
 
-# bh/chowla share one smallest-prime-factor table per process; values
-# beyond it fall back to the vectorized strip, so this caps memory only
+# bh/chowla share one smallest-prime-factor table per process; values beyond
+# it take the slower scalar or probable-prime paths, so this caps memory only
 _SIEVE_CAP = 2 * 10**6
 
 
@@ -634,7 +634,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     with open(results, "w") as fh:
         for rec in records:
             fh.write(_canon(rec) + "\n")
-    table = summarize(results)
+    table = _table(records)
     rows = [("kind", cfg.kind)]
     # runtime-only keys never influence the record stream; keep them out so
     # reruns into a different directory or pool size summarize identically
@@ -700,8 +700,7 @@ def summarize(path: str | Path) -> dict:
     if lines and lines[-1] != "":
         lines = lines[:-1]  # truncated tail
     lines = [ln for ln in lines if ln]
-    stats: list[float] = []
-    H = None
+    records: list[dict] = []
     malformed = 0
     for ln in lines:
         try:
@@ -712,6 +711,15 @@ def summarize(path: str | Path) -> dict:
         if not isinstance(rec, dict):
             malformed += 1
             continue
+        records.append(rec)
+    return _table(records, malformed)
+
+
+def _table(records: list[dict], malformed: int = 0) -> dict:
+    """The `summarize` table of parsed or in-memory records."""
+    stats: list[float] = []
+    H = None
+    for rec in records:
         s = rec.get("statistic")
         if isinstance(s, (int, float)) and not isinstance(s, bool):
             stats.append(float(s))
@@ -727,7 +735,7 @@ def summarize(path: str | Path) -> dict:
             thr = math.log(H) ** (-a)
             exceptional[a] = sum(1 for s in stats if s > thr) / len(stats)
     return {
-        "count": len(lines) - malformed,
+        "count": len(records),
         "malformed": malformed,
         "quantiles": quantiles,
         "exceptional": exceptional,

@@ -7,6 +7,8 @@ in which order it ran.  Labels may mix ints and strings.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -20,19 +22,25 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _absorb(state: int, out: int, parts) -> tuple[int, int]:
+    """The (state, out) pair after hashing the label parts in order."""
+    for part in parts:
+        words = part.encode() if isinstance(part, str) else (int(part) & _MASK,)
+        for word in words:
+            state, h = _splitmix64(state ^ word)
+            out ^= h
+    return state, out
+
+
+@lru_cache(maxsize=256, typed=True)
+def _prefix(seed: int, *parts) -> tuple[int, int]:
+    # every index of a stream shares its leading parts, e.g. (seed, "key0", "cube")
+    return _absorb(*_splitmix64(seed & _MASK), parts)
+
+
 def mix(seed: int, *stream) -> int:
     """Collapse a label into a single 64-bit value."""
-    state = seed & _MASK
-    state, out = _splitmix64(state)
-    for part in stream:
-        if isinstance(part, str):
-            for byte in part.encode():
-                state, h = _splitmix64(state ^ byte)
-                out ^= h
-        else:
-            state, h = _splitmix64(state ^ (int(part) & _MASK))
-            out ^= h
-    return out
+    return _absorb(*_prefix(seed, *stream[:-1]), stream[-1:])[1]
 
 
 def philox(seed: int, *stream) -> np.random.Generator:

@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import harness
 from formlab.arith import primes
@@ -31,6 +33,7 @@ from formlab.chowla_bh import (
 from formlab.errors import ResourceLimitError
 from formlab.forms import BinaryForm, CombinatorialCube
 from formlab.rng import philox
+from formlab.sieve import SieveTable
 
 
 def oracle_liouville(n):
@@ -126,14 +129,43 @@ def test_statistic_matches_oracle_fuzz(sieve_1m):
             for grid in ("all", 16):
                 stat = chowla_statistic(g, H, c, sieve_1m, grid_size=grid)
                 best, vals = oracle_statistic(g, stat.grid)
-                assert stat.statistic == pytest.approx(best, abs=1e-12)
-                for (x, got), want in zip(stat.trace, vals):
-                    assert got == pytest.approx(want, abs=1e-12)
+                assert stat.statistic == best
+                assert [got for _, got in stat.trace] == vals
                 assert 0.0 <= stat.statistic <= 1.0
             # the integer grid realizes the true sup over the window
             s_all = chowla_statistic(g, H, c, sieve_1m, grid_size="all").statistic
             s_16 = chowla_statistic(g, H, c, sieve_1m, grid_size=16).statistic
             assert s_all >= s_16 - 1e-12
+
+
+_SIEVE_30 = SieveTable(30)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from([(1, 400, 0.25), (2, 10**4, 0.13), (2, 10**6, 0.12), (3, 1000, 0.08),
+                          (3, 10**8, 0.085)]),
+    coeffs=st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+    grids=st.lists(st.sampled_from(["all", 1, 2, 5, 16]), min_size=2, max_size=2),
+)
+def test_statistic_exact_against_oracle(case, coeffs, grids):
+    # Sieve bound 30: most values lie beyond the table and take the scalar
+    # lambda path.  Zero and negative coefficients (and the zero form) occur.
+    d, H, c = case
+    g = BinaryForm(coeffs[: d + 1])
+    first, other = grids
+    stat = chowla_statistic(g, H, c, _SIEVE_30, grid_size=first)
+    before = (list(stat.grid), list(stat.trace), stat.statistic)
+    assert isinstance(stat.grid, tuple)
+    assert [x for x, _ in stat.trace] == list(stat.grid)
+    best, vals = oracle_statistic(g, stat.grid)
+    assert stat.statistic == best
+    assert [v for _, v in stat.trace] == vals
+    # a later call with another grid leaves the earlier result as it was
+    later = chowla_statistic(g, H, c, _SIEVE_30, grid_size=other)
+    assert later.statistic == oracle_statistic(g, later.grid)[0]
+    assert (list(stat.grid), list(stat.trace), stat.statistic) == before
+    assert chowla_statistic(g, H, c, _SIEVE_30, grid_size=first) == stat
 
 
 def test_statistic_validation(sieve_small):

@@ -240,6 +240,27 @@ def test_worker_count_invariance(tmp_path, kind, settings):
     assert m1.files["results.jsonl"] == m2.files["results.jsonl"]
 
 
+_SMALL_RUNS = {
+    "chowla": {"H": 90, "samples": 6},
+    "bh": {"H": 40, "x": 60, "samples": 3},
+    "hasse": {"samples": 8, "height": 50, "primes": 15, "mc": 2000},
+    "density": {"samples": 4, "mc": 4000, "w_desk": 5, "k_desk": 1},
+    "verify": {"suite": "oracle"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(harness.PROTOCOLS))
+def test_run_table_equals_summarize(tmp_path, kind):
+    # run builds its quantile table from the records in memory; the rows
+    # must be the ones summarize(results.jsonl) gives for the written file
+    man = harness.run(harness.make_config(kind, {**_SMALL_RUNS[kind], "out": str(tmp_path)}))
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    table = harness.summarize(tmp_path / "results.jsonl")
+    want = [f"{key},{value}" for key, value in harness._table_rows(table)]
+    assert rows[-len(want):] == want
+    assert table["count"] == man.records
+
+
 def test_canonical_json_lines(tmp_path):
     cfg = harness.make_config("chowla", {"H": 70, "samples": 2, "out": str(tmp_path / "c")})
     harness.run(cfg)
