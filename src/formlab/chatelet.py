@@ -355,19 +355,35 @@ def padic_solvable(
 # Local sigma densities.
 
 def _g_residue_counts(form: BinaryForm, q: int) -> np.ndarray:
-    """Histogram over a in Z/q of #{(s,t) in (Z/q)^2 : g(s,t) = a}."""
+    """Histogram over a in Z/q of #{(s,t) in (Z/q)^2 : g(s,t) = a}.
+
+    Direct enumeration at every q, composite or not: the CRT checks on
+    sigma_mod and the tests of the orbit sums rely on it being independent.
+    """
     if q * q > _SIGMA_BUDGET:
         raise ResourceLimitError(f"form residue scan too large at q={q}")
+    d = form.degree
+    pows = [np.ones(q, dtype=np.int64)]
+    for _ in range(d):
+        pows.append(pows[-1] * np.arange(q, dtype=np.int64) % q)
     counts = np.zeros(q, dtype=np.int64)
     step = max(1, 10**7 // q)
     for u0 in range(0, q, step):
-        rows = forms._value_rows(form, q, np.arange(u0, min(u0 + step, q), dtype=np.int64))
-        counts += np.bincount(rows.ravel(), minlength=q)
+        us = slice(u0, min(u0 + step, q))
+        acc = np.zeros((us.stop - u0, q), dtype=np.int64)
+        for i, c in enumerate(form.coeffs):
+            acc += (c % q) * pows[d - i][us, None] * pows[i][None, :]
+            acc %= q
+        counts += np.bincount(acc.ravel(), minlength=q)
     return counts
 
 
 def sigma_pp(instance: ChateletInstance, p: int, k: int) -> Fraction:
-    """Joint density of N_K(x) = g(s,t) mod p^k over all residues."""
+    """Joint density of N_K(x) = g(s,t) mod p^k over all residues.
+
+    The norm counts are a unit-invariant weight because e | d (see
+    forms.orbit_sum), so the pairs (s, t) are summed in O(p^k) steps.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -377,8 +393,7 @@ def sigma_pp(instance: ChateletInstance, p: int, k: int) -> Fraction:
     if q**max(e, 2) > _SIGMA_BUDGET:
         raise ResourceLimitError(f"sigma enumeration budget exceeded at {p}^{k}")
     cnt_n = norm_residue_counts(instance.field, q)
-    cnt_g = _g_residue_counts(instance.form, q)
-    joint = int(np.dot(cnt_n, cnt_g))
+    joint = forms.orbit_sum(instance.form.coeffs, p, k, cnt_n)
     return Fraction(joint, q ** (e + 1))
 
 

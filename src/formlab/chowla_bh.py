@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arith
 from .errors import ResourceLimitError
-from .forms import BinaryForm, CombinatorialCube, zero_count_mod_prime_fast
+from .forms import BinaryForm, CombinatorialCube, orbit_sum
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7
@@ -149,7 +149,7 @@ def singular_series(
     for p in arith.primes(bound):
         if product.content % p == 0:
             return Fraction(0)
-        z = zero_count_mod_prime_fast(product, p)
+        z = orbit_sum(product.coeffs, p, 1)
         out *= (1 - Fraction(1, p)) ** (-r) * (1 - Fraction(z, p * p))
         if out == 0:
             return out

@@ -1,17 +1,13 @@
 """Shared exception types.
 
 Budgeted enumerations raise ResourceLimitError instead of silently
-truncating; fast paths that cannot serve a query raise a typed error so
-callers can route to the slow path explicitly.
+truncating; a query a method cannot serve (splitting data at an index
+divisor) raises a typed error so callers can supply the missing data.
 """
 
 
 class ResourceLimitError(RuntimeError):
     """An enumeration or search would exceed its operation budget."""
-
-
-class ContentDivisibleError(ValueError):
-    """Prime-counting fast path refused: the prime divides the form content."""
 
 
 class IndexDivisorError(ValueError):

@@ -13,12 +13,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
 
-from . import polys
-from .errors import ContentDivisibleError, ResourceLimitError
+from . import arith, polys
+from .errors import ResourceLimitError
 from .rng import philox
 
 _GRID_BUDGET = 10**8
@@ -75,16 +76,20 @@ class BinaryForm:
         """g(t, 1) as an ascending coefficient list."""
         return list(reversed(self.coeffs))
 
+    @cached_property
+    def _disc(self) -> int:
+        # kept in the instance dict, outside the dataclass fields, so
+        # equality and hashing still read only coeffs
+        return _form_disc(self.coeffs)
+
     def discriminant(self) -> int:
         if self.is_zero:
             raise ValueError("discriminant of the zero form is undefined")
-        return _form_disc(self.coeffs)
+        return self._disc
 
     @property
     def is_separable(self) -> bool:
-        if self.is_zero:
-            return False
-        return self.discriminant() != 0
+        return not self.is_zero and self._disc != 0
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -114,67 +119,91 @@ def _form_disc(coeffs: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Zero counts mod q.
+# Local counts over P^1(Z/p^k).
+
+_EVAL_BLOCK = 2**21  # (forms x representatives) entries evaluated at once
+_MONO_CACHE_Q = 2**14  # larger moduli rebuild their monomials, so the cache stays small
+
+
+def orbit_sum(coeffs, p: int, k: int, weight: Optional[np.ndarray] = None):
+    """Sum over (s, t) mod q = p^k of weight[g(s, t) mod q], in O(q) evaluations.
+
+    `weight` is an array on Z/q that multiplication by d-th powers of
+    units leaves unchanged; the default, the indicator of residue 0,
+    makes the sum the zero count.  Each pair with p not dividing both
+    coordinates is l*r for one unit l and one r in P^1(Z/q), represented
+    by (1, t) for t mod q and (p*s, 1) for s mod q/p; g(l*r) = l^d g(r),
+    so those pairs give phi(q) * sum_r weight[g(r)].  Pairs with p | s, t
+    have g = p^d g(s', t'): residue 0 when k <= d, otherwise a sum at
+    p^(k-d) with weight a -> weight[p^d a], times p^(2(d-1)) lifts.
+
+    `coeffs` is one form's (c0, ..., cd), giving an int, or an
+    (nforms, d+1) array, giving int64 sums per row.  Sums are taken in
+    int64, so weight.max() * q^2 must stay below 2^63.
+    """
+    q = p**k
+    single = np.ndim(coeffs) == 1
+    if single:
+        rows = np.array([[int(c) % q for c in coeffs]], dtype=np.int64)
+    else:
+        rows = np.asarray(coeffs, dtype=np.int64) % q
+    if rows.shape[1] * q * q >= 2**63:
+        raise ValueError("modulus too large for int64 evaluation")
+    if weight is None:
+        weight = np.zeros(q, dtype=np.int64)
+        weight[0] = 1
+    sums = _orbit_sums(rows, p, k, np.asarray(weight, dtype=np.int64))
+    return int(sums[0]) if single else sums
+
+
+def _orbit_sums(rows: np.ndarray, p: int, k: int, weight: np.ndarray) -> np.ndarray:
+    q = p**k
+    d = rows.shape[1] - 1
+    mono = (_rep_monomials if q <= _MONO_CACHE_Q else _rep_monomials.__wrapped__)(p, k, d)
+    sums = np.empty(len(rows), dtype=np.int64)
+    step = max(1, _EVAL_BLOCK // mono.shape[1])
+    for r0 in range(0, len(rows), step):
+        sums[r0 : r0 + step] = weight[rows[r0 : r0 + step] @ mono % q].sum(axis=1)
+    out = (q - q // p) * sums
+    if k <= d:
+        return out + p ** (2 * (k - 1)) * weight[0]
+    sub = weight[p**d * np.arange(p ** (k - d), dtype=np.int64) % q]
+    return out + p ** (2 * (d - 1)) * _orbit_sums(rows, p, k - d, sub)
+
+
+@lru_cache(maxsize=32)
+def _rep_monomials(p: int, k: int, d: int) -> np.ndarray:
+    """u^(d-i) v^i mod q at the representatives (u, v) of P^1(Z/q), q = p^k:
+    (1, t) for t mod q, then (p*s, 1) for s mod q/p.  Shape (d+1, q + q/p)."""
+    q = p**k
+    u = np.concatenate([np.ones(q, dtype=np.int64), np.arange(0, q, p, dtype=np.int64)])
+    v = np.concatenate([np.arange(q, dtype=np.int64), np.ones(q // p, dtype=np.int64)])
+    upow, vpow = [np.ones_like(u)], [np.ones_like(v)]
+    for _ in range(d):
+        upow.append(upow[-1] * u % q)
+        vpow.append(vpow[-1] * v % q)
+    mono = np.stack([upow[d - i] * vpow[i] % q for i in range(d + 1)])
+    mono.flags.writeable = False
+    return mono
+
 
 def zero_count_mod(form: BinaryForm, q: int) -> int:
-    """#{(u,v) in (Z/q)^2 : g(u,v) = 0 mod q}, exact enumeration."""
+    """#{(u,v) in (Z/q)^2 : g(u,v) = 0 mod q}: orbit sums at each p^k || q, by CRT."""
     if q < 1:
         raise ValueError("modulus must be positive")
     if q == 1:
         return 1
     if q * q > _GRID_BUDGET:
         raise ResourceLimitError(f"mod-{q} grid exceeds the enumeration budget")
-    if q * q <= 10**7:
-        return int(np.count_nonzero(_value_grid(form, q) == 0))
-    # row-chunked so memory stays bounded on large moduli
-    count = 0
-    step = max(1, 10**7 // q)
-    for u0 in range(0, q, step):
-        rows = _value_rows(form, q, np.arange(u0, min(u0 + step, q), dtype=np.int64))
-        count += int(np.count_nonzero(rows == 0))
-    return count
-
-
-def _value_grid(form: BinaryForm, q: int) -> np.ndarray:
-    """g values mod q on the full (Z/q)^2 grid, shape (q, q)."""
-    return _value_rows(form, q, np.arange(q, dtype=np.int64))
-
-
-def _value_rows(form: BinaryForm, q: int, us: np.ndarray) -> np.ndarray:
-    """g values mod q for the given u rows against all v, shape (len(us), q)."""
-    d = form.degree
-    v = np.arange(q, dtype=np.int64)
-    vpow = [np.ones(q, dtype=np.int64)]
-    for _ in range(d):
-        vpow.append(vpow[-1] * v % q)
-    us = np.asarray(us, dtype=np.int64) % q
-    upow = [np.ones(len(us), dtype=np.int64)]
-    for _ in range(d):
-        upow.append(upow[-1] * us % q)
-    acc = np.zeros((len(us), q), dtype=np.int64)
-    for i, c in enumerate(form.coeffs):
-        acc += (c % q) * upow[d - i][:, None] * vpow[i][None, :]
-        acc %= q
-    return acc
-
-
-def zero_count_mod_prime_fast(form: BinaryForm, p: int) -> int:
-    """1 + (p-1) * (projective root count); requires p not dividing the content."""
-    if form.content % p == 0:
-        raise ContentDivisibleError(f"{p} divides the content; use the full enumeration")
-    rho = polys.root_count_mod_p(form.dehomogenized(), p)
-    if form.coeffs[0] % p == 0:
-        rho += 1  # the root at infinity
-    return 1 + (p - 1) * rho
+    return math.prod(orbit_sum(form.coeffs, p, k) for p, k in arith.factorize(q).items())
 
 
 def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
-    """#{(u,v) mod p^k : g = 0 mod p^k} without enumerating the full grid.
+    """#{(u,v) mod p^k : g = 0 mod p^k} as an orbit sum.
 
-    Splits pairs by whether p divides both coordinates.  The divisible
-    part rescales (g(pu, pv) = p^d g(u, v)), giving an exact recursion;
-    the primitive part is found by lifting solution classes level by
-    level, whose number stays small for separable forms.
+    The p-part p^sigma of the content is pulled out first
+    (g = p^sigma h gives p^(2 sigma) times h's count mod p^(k-sigma)), so
+    the budget applies to p^(k-sigma).
     """
     if k < 0:
         raise ValueError("exponent must be nonnegative")
@@ -182,7 +211,6 @@ def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
         return 1
     if form.is_zero:
         return p ** (2 * k)
-    # pull the p-part of the content out front
     sigma = 0
     coeffs = list(form.coeffs)
     while all(c % p == 0 for c in coeffs):
@@ -190,70 +218,11 @@ def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
         sigma += 1
     if sigma >= k:
         return p ** (2 * k)
-    base = BinaryForm(coeffs)
-    return p ** (2 * sigma) * _zero_count_pp_primitive_split(base, p, k - sigma)
-
-
-def _zero_count_pp_primitive_split(form: BinaryForm, p: int, k: int) -> int:
-    d = form.degree
-    if p**k > 10**6:
+    if p ** (k - sigma) > 10**6:
         raise ResourceLimitError("prime power exceeds the lifting budget")
-    prim = _primitive_zero_counts(form, p, k)
-    lam = [1]
-    for j in range(1, k + 1):
-        if j <= d:
-            divisible = p ** (2 * (j - 1))
-        else:
-            divisible = p ** (2 * (d - 1)) * lam[j - d]
-        lam.append(prim[j] + divisible)
-    return lam[k]
-
-
-def _primitive_zero_counts(form: BinaryForm, p: int, k: int) -> list[int]:
-    """#primitive zeros mod p^j for j = 0..k; form content coprime to p."""
     if p * p > 10**7:
         raise ResourceLimitError("seed prime too large for grid enumeration")
-    grid = _value_grid(form, p)
-    grid[0, 0] = 1  # (0,0) is never primitive
-    ms, ns = np.nonzero(grid == 0)
-    sols_m = ms.astype(np.int64)
-    sols_n = ns.astype(np.int64)
-    counts = [0, len(sols_m)]
-    offs = np.arange(p, dtype=np.int64)
-    for j in range(1, k):
-        if len(sols_m) == 0:
-            counts.extend([0] * (k - j))
-            break
-        if len(sols_m) * p * p > 10**8:
-            raise ResourceLimitError("solution classes exceed the lifting budget")
-        q = p ** (j + 1)
-        shift = offs * p**j
-        cand_m = np.broadcast_to(
-            sols_m[:, None, None] + shift[None, :, None], (len(sols_m), p, p)
-        ).reshape(-1)
-        cand_n = np.broadcast_to(
-            sols_n[:, None, None] + shift[None, None, :], (len(sols_n), p, p)
-        ).reshape(-1)
-        vals = _eval_pairs_mod(form, cand_m, cand_n, q)
-        keep = vals == 0
-        sols_m, sols_n = cand_m[keep], cand_n[keep]
-        counts.append(len(sols_m))
-    return counts
-
-
-def _eval_pairs_mod(form: BinaryForm, ms: np.ndarray, ns: np.ndarray, q: int) -> np.ndarray:
-    d = form.degree
-    mpow = np.ones(len(ms), dtype=np.int64)
-    mpows = [mpow]
-    for _ in range(d):
-        mpows.append(mpows[-1] * (ms % q) % q)
-    npows = [np.ones(len(ns), dtype=np.int64)]
-    for _ in range(d):
-        npows.append(npows[-1] * (ns % q) % q)
-    acc = np.zeros(len(ms), dtype=np.int64)
-    for i, c in enumerate(form.coeffs):
-        acc = (acc + (c % q) * mpows[d - i] % q * npows[i]) % q
-    return acc
+    return p ** (2 * sigma) * orbit_sum(coeffs, p, k - sigma)
 
 
 def zero_count_mod_batch(coeff_rows: np.ndarray, q: int) -> np.ndarray:
@@ -262,23 +231,10 @@ def zero_count_mod_batch(coeff_rows: np.ndarray, q: int) -> np.ndarray:
     coeff_rows: (nforms, d+1) int array.  Returns int64 counts.
     """
     rows = np.asarray(coeff_rows, dtype=np.int64)
-    nforms, ncoef = rows.shape
-    d = ncoef - 1
-    u = np.arange(q, dtype=np.int64)
-    upow = [np.ones(q, dtype=np.int64)]
-    for _ in range(d):
-        upow.append(upow[-1] * u % q)
-    # monomial matrix over the grid: (q*q, d+1)
-    mono = np.empty((q * q, ncoef), dtype=np.int64)
-    for i in range(ncoef):
-        mono[:, i] = (upow[d - i][:, None] * upow[i][None, :] % q).ravel()
-    counts = np.zeros(nforms, dtype=np.int64)
-    rows_mod = rows % q
-    chunk = max(1, 10**7 // max(nforms, 1))
-    for r0 in range(0, q * q, chunk):
-        block = mono[r0 : r0 + chunk] @ rows_mod.T
-        counts += np.count_nonzero(block % q == 0, axis=0)
-    return counts
+    return math.prod(
+        (orbit_sum(rows, p, k) for p, k in arith.factorize(q).items()),
+        start=np.ones(len(rows), dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -562,8 +562,7 @@ def _state_for(cfg: ExperimentConfig) -> dict:
     return _hold_state(cfg) if state is None else state
 
 
-def _record_for_index(cfg: ExperimentConfig, i: int) -> dict:
-    state = _state_for(cfg)
+def _record_for_index(cfg: ExperimentConfig, state: dict, i: int) -> dict:
     try:
         return PROTOCOLS[cfg.kind].record(cfg, state, i)
     except ResourceLimitError as exc:
@@ -572,20 +571,26 @@ def _record_for_index(cfg: ExperimentConfig, i: int) -> dict:
                 "statistic": None, "H": cfg.H}
 
 
+def _held_record(i: int) -> dict:
+    """Record i of the held run, read without hashing its config."""
+    ((cfg, state),) = _STATE.items()
+    return _record_for_index(cfg, state, i)
+
+
 def compute_records(cfg: ExperimentConfig) -> list[dict]:
     """All records for the run, ordered; parallel over sample indices."""
     protocol = PROTOCOLS[cfg.kind]
-    prefix = protocol.prefix(cfg, _hold_state(cfg))
+    state = _hold_state(cfg)
+    prefix = protocol.prefix(cfg, state)
     idxs = list(range(protocol.count(cfg)))
     w = effective_workers(cfg.workers)
     if w <= 1 or len(idxs) <= 1:
-        recs = [_record_for_index(cfg, i) for i in idxs]
+        recs = [_record_for_index(cfg, state, i) for i in idxs]
     else:
         ctx = mp.get_context("fork")
         chunk = max(1, len(idxs) // (4 * w))
         with ProcessPoolExecutor(max_workers=w, mp_context=ctx) as ex:
-            recs = list(ex.map(_record_for_index, [cfg] * len(idxs), idxs,
-                               chunksize=chunk))
+            recs = list(ex.map(_held_record, idxs, chunksize=chunk))
     return prefix + recs
 
 

@@ -335,11 +335,13 @@ class NormForm:
 # ---------------------------------------------------------------------------
 # Splitting data and Dedekind coefficients.
 
+@lru_cache(maxsize=4096)
 def splitting_type(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     """Residue degrees and ramification indices (f_i, e_i) above p.
 
     Valid via factorization of the defining polynomial only when p does
     not divide the index of the power order; declared overrides win.
+    Memoized per (field, p): the result is an immutable tuple.
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")

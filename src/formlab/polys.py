@@ -391,21 +391,6 @@ def pmod_deriv(f: Sequence[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def root_count_mod_p(f: Sequence[int], p: int) -> int:
-    """Number of distinct roots of f in Z/p (f must be nonzero mod p)."""
-    fp = pmod(f, p)
-    if not fp:
-        raise ValueError("polynomial vanishes identically mod p")
-    if degree(fp) == 0:
-        return 0
-    tp = pmod_powmod([0, 1], p, fp, p)
-    diff = pmod_sub(tp, [0, 1], p)
-    if not diff:
-        return degree(fp)
-    g = pmod_gcd(fp, diff, p)
-    return degree(g)
-
-
 def _sff(f: list[int], p: int) -> list[tuple[list[int], int]]:
     # Squarefree decomposition of monic f mod p: [(factor, multiplicity)].
     out: list[tuple[list[int], int]] = []

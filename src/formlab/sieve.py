@@ -226,14 +226,16 @@ class SieveTable:
     # -- vectorized evaluators -------------------------------------------
 
     def liouville_values(self, values) -> np.ndarray:
-        arr = np.abs(np.asarray(values, dtype=np.int64))
-        out = np.zeros(arr.shape, dtype=np.int8)
-        table = self.liouville_table()
-        in_range = arr <= self.bound
-        out[in_range] = table[arr[in_range]]
-        for i in np.nonzero(~in_range.ravel())[0]:
-            flat = out.ravel()
-            flat[i] = self.liouville(int(arr.ravel()[i]))
+        mags = np.abs(np.asarray(values, dtype=np.int64))
+        # viewed as uint64 (no copy), the wrapped magnitude of -2**63 reads 2**63
+        wide = mags.view(np.uint64)
+        in_range = wide <= self.bound
+        if in_range.all():  # the common case: one gather, no masks
+            return self.liouville_table()[mags]
+        out = np.zeros(mags.shape, dtype=np.int8)
+        out[in_range] = self.liouville_table()[mags[in_range]]
+        for i in np.flatnonzero(~in_range):
+            out.flat[i] = self.liouville(int(wide.flat[i]))
         return out
 
     def mangoldt_values(self, values) -> np.ndarray:
@@ -405,14 +407,7 @@ def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:
 
     q must be a prime power; the x^2 enumeration is budget-capped.
     """
-    if min(a, b, c) < 1:
-        raise ValueError("exponents must be positive")
-    if x < 1:
-        raise ValueError("x must be positive")
-    if not _is_prime_power(q):
-        raise ValueError("modulus must be a prime power")
-    if x * x > _ENUM_BUDGET:
-        raise ValueError("enumeration budget exceeded (x^2 > 1e8)")
+    _check_divisibility(q, a, b, c, x)
     va = np.array([pow(v, a, q) for v in range(1, x + 1)], dtype=np.int64)
     vb = np.array([pow(v, b, q) for v in range(1, x + 1)], dtype=np.int64)
     vc = np.array([pow(v, c, q) for v in range(1, x + 1)], dtype=np.int64)
@@ -423,6 +418,37 @@ def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:
         diff = (vc[i0 : i0 + chunk, None] - vc[None, :]) % q
         count += int(np.count_nonzero((left * diff) % q == 0))
     return count
+
+
+def gcd_divisibility_counts(qs: Sequence[int], a: int, b: int, c: int, x: int) -> np.ndarray:
+    """gcd_divisibility_count at every prime power in qs, as int64 counts.
+
+    The values v1^a v2^b (v1^c - v2^c) are evaluated once, exactly in
+    int64 (|value| < x^(a+b+c) < 2^63), and reduced mod each q.
+    """
+    for q in qs:
+        _check_divisibility(q, a, b, c, x)
+    if x ** (a + b + c) >= 2**63:
+        raise ValueError("pair values overflow int64")
+    v = np.arange(1, x + 1, dtype=np.int64)
+    counts = np.zeros(len(qs), dtype=np.int64)
+    chunk = max(1, 2**20 // x)
+    for i0 in range(0, x, chunk):
+        v1 = v[i0 : i0 + chunk, None]
+        vals = v1**a * v**b * (v1**c - v**c)
+        counts += [np.count_nonzero(vals % q == 0) for q in qs]
+    return counts
+
+
+def _check_divisibility(q: int, a: int, b: int, c: int, x: int) -> None:
+    if min(a, b, c) < 1:
+        raise ValueError("exponents must be positive")
+    if x < 1:
+        raise ValueError("x must be positive")
+    if not _is_prime_power(q):
+        raise ValueError("modulus must be a prime power")
+    if x * x > _ENUM_BUDGET:
+        raise ValueError("enumeration budget exceeded (x^2 > 1e8)")
 
 
 def _is_prime_power(q: int) -> bool:

@@ -23,7 +23,7 @@ from formlab import forms as fm
 from formlab import harness
 from formlab import normforms as nf
 from formlab.rng import philox
-from formlab.sieve import build_sieve, gcd_divisibility_count
+from formlab.sieve import build_sieve, gcd_divisibility_counts
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -194,8 +194,8 @@ def test_c04_gcd_bound_and_divisibility():
     worst = []
     for a, b, c in itertools.product((1, 2), repeat=3):
         mx = max(a, b, c)
-        stats = {q: gcd_divisibility_count(q, a, b, c, x) * q ** (1 / (2 * mx)) / x**2
-                 for q in pps}
+        counts = gcd_divisibility_counts(pps, a, b, c, x)
+        stats = {q: int(n) * q ** (1 / (2 * mx)) / x**2 for q, n in zip(pps, counts)}
         fitted = max(v for q, v in stats.items() if q <= 100)
         excess = sum(1 for v in stats.values() if v > fitted)
         worst.append(((a, b, c), fitted, excess))

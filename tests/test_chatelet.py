@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formlab import arith, chatelet as ch, forms, harness
 from formlab.errors import ResourceLimitError
@@ -252,6 +254,34 @@ def test_sigma_prime_power_splits(Qi):
     assert ch.sigma_pp(inst, 5, 0) == Fraction(1)
     with pytest.raises(ValueError):
         ch.sigma_pp(inst, 2, -1)
+
+
+_SIGMA_CASES = {  # field -> (form degrees, prime powers within sigma_mod's budget)
+    "gaussian": ((2, 4), [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 2)]),
+    "sqrt2": ((2, 4), [(2, 1), (2, 4), (3, 2), (5, 1), (7, 1)]),
+    "cbrt2": ((3,), [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2)]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SIGMA_CASES)),
+    data=st.data(),
+    scale=st.sampled_from([1, 1, 2, 3, 4, 9, 0]),
+)
+@example(name="gaussian", data=None, scale=0)  # the zero form
+@example(name="cbrt2", data=None, scale=8)  # e = 3, content 2^3, k > d
+def test_sigma_pp_orbit_sum_matches_sigma_mod(name, data, scale):
+    # sigma_pp sums orbits of P^1(Z/p^k); sigma_mod enumerates the grid
+    degrees, pks = _SIGMA_CASES[name]
+    if data is None:
+        d, (p, k), coeffs = degrees[0], pks[-1], [1] * (degrees[0] + 1)
+    else:
+        d = data.draw(st.sampled_from(degrees))
+        p, k = data.draw(st.sampled_from(pks))
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+    inst = inst_of(field_presets()[name], [scale * c for c in coeffs])
+    assert ch.sigma_pp(inst, p, k) == ch.sigma_mod(inst, p**k)
 
 
 def test_sigma_crt_multiplicative(Qi, fields):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formlab import forms
-from formlab.errors import ContentDivisibleError
 from formlab.forms import BinaryForm, CombinatorialCube
 
 
@@ -148,27 +149,45 @@ def test_zero_count_oracle():
 
 
 def test_zero_count_multiplicative():
+    # zero_count_mod composes prime-power orbit sums by CRT, so the product
+    # identity alone would be a tautology: the composite count is also
+    # checked against the brute-force oracle
     rng = random.Random(37)
     pairs = [(q1, q2) for q1 in range(2, 26) for q2 in range(2, 26)
              if math.gcd(q1, q2) == 1 and q1 * q2 <= 50]
     for _ in range(40):
         g = _random_form(rng, d=rng.randint(1, 3), lim=3)
         for q1, q2 in pairs:
-            assert forms.zero_count_mod(g, q1 * q2) == forms.zero_count_mod(
-                g, q1
-            ) * forms.zero_count_mod(g, q2)
+            got = forms.zero_count_mod(g, q1 * q2)
+            assert got == forms.zero_count_mod(g, q1) * forms.zero_count_mod(g, q2)
+            assert got == oracle_zero_count(g.coeffs, q1 * q2), (g, q1, q2)
 
 
 def test_fast_path_worked():
-    assert forms.zero_count_mod_prime_fast(BinaryForm([0, 1, 0]), 3) == 5
-    assert forms.zero_count_mod_prime_fast(BinaryForm([1, 0, 1]), 5) == 9
-    assert forms.zero_count_mod_prime_fast(BinaryForm([1, 0, 1]), 3) == 1
-    with pytest.raises(ContentDivisibleError):
-        forms.zero_count_mod_prime_fast(BinaryForm([3, 6, 9]), 3)
+    # orbit sums with the default weight, the indicator of residue 0
+    assert forms.orbit_sum((0, 1, 0), 3, 1) == 5
+    assert forms.orbit_sum((1, 0, 1), 5, 1) == 9
+    assert forms.orbit_sum((1, 0, 1), 3, 1) == 1
+    assert forms.orbit_sum((3, 6, 9), 3, 1) == 9  # content divisible by p
+    assert forms.orbit_sum((0, 0, 0), 2, 3) == 64  # the zero form
+    assert forms.orbit_sum((1, 0, 1), 2, 3) == oracle_zero_count((1, 0, 1), 8)  # k > d
+    # a unit-invariant weight: residue counts of u^2 + v^2 mod 5
+    cnt = np.bincount([(u * u + v * v) % 5 for u in range(5) for v in range(5)], minlength=5)
+    want = sum(int(cnt[oracle_eval((1, 2, 2), s, t) % 5]) for s in range(5) for t in range(5))
+    assert forms.orbit_sum((1, 2, 2), 5, 1, cnt) == want
+
+
+def oracle_zero_counts_grid(rows, q):
+    """Brute-force zero counts of many forms over the whole (Z/q)^2 grid."""
+    rows = np.asarray(rows, dtype=np.int64)
+    d = rows.shape[1] - 1
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+    mono = np.stack([u ** (d - i) % q * (v**i % q) % q for i in range(d + 1)], axis=1)
+    return np.count_nonzero((mono @ (rows % q).T) % q == 0, axis=0)
 
 
 def test_fast_slow_agreement_exhaustive():
-    # every form with d <= 3, |c| <= 2; all primes <= 101 with p not | content
+    # every form with d <= 3, |c| <= 2; all primes <= 101, content included
     primes = [p for p in range(2, 102) if sympy.isprime(p)]
     from itertools import product as iproduct
 
@@ -177,11 +196,30 @@ def test_fast_slow_agreement_exhaustive():
         arr = np.array(rows, dtype=np.int64)
         for p in primes:
             counts = forms.zero_count_mod_batch(arr, p)
-            for cs, slow in zip(rows, counts):
-                g = BinaryForm(cs)
-                if g.content % p == 0:
-                    continue
-                assert forms.zero_count_mod_prime_fast(g, p) == int(slow), (cs, p)
+            assert counts.tolist() == oracle_zero_counts_grid(arr, p).tolist(), (d, p)
+
+
+_PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7) if p**k <= 64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    pk=st.sampled_from(_PRIME_POWERS),
+    scale=st.sampled_from([1, 1, 2, 3, 4, 8, 9, 27, 0]),
+)
+@example(coeffs=[0, 0, 0], pk=(2, 5), scale=1)  # the zero form, k > d
+@example(coeffs=[1, 1], pk=(2, 6), scale=1)  # d = 1, k > d
+@example(coeffs=[1, 0, 1], pk=(3, 3), scale=3)  # content divisible by p, k > d
+@example(coeffs=[2, 0, 0, 1], pk=(2, 4), scale=4)
+def test_orbit_sum_zero_counts_match_oracle(coeffs, pk, scale):
+    p, k = pk
+    g = BinaryForm([scale * c for c in coeffs])
+    want = oracle_zero_count(g.coeffs, p**k)
+    assert forms.orbit_sum(g.coeffs, p, k) == want
+    assert forms.zero_count_mod(g, p**k) == want
+    assert forms.zero_count_prime_power(g, p, k) == want
+    assert forms.zero_count_mod_batch(np.array([g.coeffs]), p**k).tolist() == [want]
 
 
 def test_batch_matches_single():

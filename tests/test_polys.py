@@ -135,23 +135,6 @@ def test_squarefree_part():
     assert polys.squarefree_part(f) == polys.poly_mul([-1, 1], [2, 1])
 
 
-def _brute_root_count(f, p):
-    return sum(1 for t in range(p) if polys.poly_eval(f, t) % p == 0)
-
-
-def test_root_count_mod_p():
-    rng = random.Random(53)
-    for p in (2, 3, 5, 7, 11, 101):
-        for _ in range(20):
-            f = _random_poly(rng, rng.randint(1, 5))
-            if polys.degree(polys.pmod(f, p)) < 0:
-                continue
-            assert polys.root_count_mod_p(f, p) == _brute_root_count(f, p), (f, p)
-    assert polys.root_count_mod_p([1, 0, 1], 5) == 2
-    assert polys.root_count_mod_p([1, 0, 1], 3) == 0
-    assert polys.root_count_mod_p([1, 0, 1], 2) == 1
-
-
 def test_factor_shape_matches_sympy():
     rng = random.Random(67)
     for p in (2, 3, 5, 7, 13):

@@ -226,6 +226,18 @@ def test_liouville_values_vectorized(sieve_small):
     assert list(got) == [sieve_small.liouville(int(v)) for v in vals]
 
 
+@settings(max_examples=150, deadline=None)
+@given(bound=st.sampled_from(_BOUNDS), values=_values)
+@example(bound=1000, values=[-2**63, 2**63 - 1, -1000, 1000, -1001, 1001, 999,
+                             2**31, -2**31, 2**31 - 1, 2**31 + 1, 0])
+@example(bound=2, values=[-2**63, -2, 2, -3, 3, 2**31])
+def test_liouville_values_match_scalar(bound, values):
+    table = _TABLES[bound]
+    arr = np.array(values, dtype=np.int64)
+    want = np.array([table.liouville(int(v)) for v in arr], dtype=np.int8)
+    assert table.liouville_values(arr).tobytes() == want.tobytes()
+
+
 # -- persistence --------------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path):
@@ -310,7 +322,17 @@ def test_pair_count_random_oracle():
         q = int(rng.choice([2, 3, 4, 5, 8, 9, 25, 27, 49]))
         a, b, c = (int(v) for v in rng.integers(1, 4, size=3))
         x = int(rng.integers(1, 25))
-        assert sv.gcd_divisibility_count(q, a, b, c, x) == oracle_pair_count(q, a, b, c, x)
+        want = oracle_pair_count(q, a, b, c, x)
+        assert sv.gcd_divisibility_count(q, a, b, c, x) == want
+        assert sv.gcd_divisibility_counts([q, 2], a, b, c, x)[0] == want
+
+
+def test_pair_counts_batch_matches_scalar():
+    # C04's scale: x = 200 and exponents up to 2, so values reach 200^6
+    qs = [2, 3, 4, 7, 64, 243, 625, 2401, 4096, 6561, 9973]
+    for a, b, c in ((1, 1, 1), (2, 1, 2), (2, 2, 2)):
+        got = sv.gcd_divisibility_counts(qs, a, b, c, 200)
+        assert got.tolist() == [sv.gcd_divisibility_count(q, a, b, c, 200) for q in qs]
 
 
 def test_pair_count_validation():
@@ -320,6 +342,10 @@ def test_pair_count_validation():
         sv.gcd_divisibility_count(4, 0, 1, 1, 10)
     with pytest.raises(ValueError):
         sv.gcd_divisibility_count(4, 1, 1, 1, 10**5)  # budget
+    with pytest.raises(ValueError):
+        sv.gcd_divisibility_counts([4, 6], 1, 1, 1, 10)  # not a prime power
+    with pytest.raises(ValueError):
+        sv.gcd_divisibility_counts([4], 9, 9, 9, 200)  # values overflow int64
 
 
 def test_pair_count_lemma_shape():
