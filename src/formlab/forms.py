@@ -122,7 +122,9 @@ def _form_disc(coeffs: tuple[int, ...]) -> int:
 # Local counts over P^1(Z/p^k).
 
 _EVAL_BLOCK = 2**21  # (forms x representatives) entries evaluated at once
-_MONO_CACHE_Q = 2**14  # larger moduli rebuild their monomials, so the cache stays small
+# Monomial matrices with (d+1)*q up to this are memoized (at most 32 of them,
+# under 7 MB in all); sigma_pp and the zero counts of a run repeat few (p, k, d).
+_MONO_CACHE_SIZE = 2**14
 
 
 def orbit_sum(coeffs, p: int, k: int, weight: Optional[np.ndarray] = None):
@@ -152,14 +154,19 @@ def orbit_sum(coeffs, p: int, k: int, weight: Optional[np.ndarray] = None):
     if weight is None:
         weight = np.zeros(q, dtype=np.int64)
         weight[0] = 1
-    sums = _orbit_sums(rows, p, k, np.asarray(weight, dtype=np.int64))
+    weight = np.asarray(weight, dtype=np.int64)
+    if rows.shape[1] == 1:  # a constant form: every pair reads weight[c0]
+        sums = q * q * weight[rows[:, 0]]
+    else:
+        sums = _orbit_sums(rows, p, k, weight)
     return int(sums[0]) if single else sums
 
 
 def _orbit_sums(rows: np.ndarray, p: int, k: int, weight: np.ndarray) -> np.ndarray:
     q = p**k
     d = rows.shape[1] - 1
-    mono = (_rep_monomials if q <= _MONO_CACHE_Q else _rep_monomials.__wrapped__)(p, k, d)
+    cached = (d + 1) * q <= _MONO_CACHE_SIZE
+    mono = (_rep_monomials if cached else _rep_monomials.__wrapped__)(p, k, d)
     sums = np.empty(len(rows), dtype=np.int64)
     step = max(1, _EVAL_BLOCK // mono.shape[1])
     for r0 in range(0, len(rows), step):

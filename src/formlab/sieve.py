@@ -227,15 +227,15 @@ class SieveTable:
 
     def liouville_values(self, values) -> np.ndarray:
         mags = np.abs(np.asarray(values, dtype=np.int64))
+        # one gather: clip mode keeps magnitudes beyond the table (and -2**63,
+        # which np.abs leaves negative) in range; the scalar path overwrites them
+        out = self.liouville_table().take(mags, mode="clip")
         # viewed as uint64 (no copy), the wrapped magnitude of -2**63 reads 2**63
         wide = mags.view(np.uint64)
-        in_range = wide <= self.bound
-        if in_range.all():  # the common case: one gather, no masks
-            return self.liouville_table()[mags]
-        out = np.zeros(mags.shape, dtype=np.int8)
-        out[in_range] = self.liouville_table()[mags[in_range]]
-        for i in np.flatnonzero(~in_range):
-            out.flat[i] = self.liouville(int(wide.flat[i]))
+        beyond = wide > self.bound
+        if beyond.any():
+            for i in np.flatnonzero(beyond):
+                out.flat[i] = self.liouville(int(wide.flat[i]))
         return out
 
     def mangoldt_values(self, values) -> np.ndarray:

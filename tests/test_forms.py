@@ -204,7 +204,7 @@ _PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7) if p**k <= 64
 
 @settings(max_examples=300, deadline=None)
 @given(
-    coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=5),
+    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
     pk=st.sampled_from(_PRIME_POWERS),
     scale=st.sampled_from([1, 1, 2, 3, 4, 8, 9, 27, 0]),
 )
@@ -212,14 +212,27 @@ _PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7) if p**k <= 64
 @example(coeffs=[1, 1], pk=(2, 6), scale=1)  # d = 1, k > d
 @example(coeffs=[1, 0, 1], pk=(3, 3), scale=3)  # content divisible by p, k > d
 @example(coeffs=[2, 0, 0, 1], pk=(2, 4), scale=4)
+@example(coeffs=[3], pk=(3, 2), scale=3)  # d = 0: a constant row, zero mod q
+@example(coeffs=[5], pk=(2, 6), scale=1)  # d = 0: a unit constant
 def test_orbit_sum_zero_counts_match_oracle(coeffs, pk, scale):
     p, k = pk
-    g = BinaryForm([scale * c for c in coeffs])
-    want = oracle_zero_count(g.coeffs, p**k)
-    assert forms.orbit_sum(g.coeffs, p, k) == want
-    assert forms.zero_count_mod(g, p**k) == want
-    assert forms.zero_count_prime_power(g, p, k) == want
-    assert forms.zero_count_mod_batch(np.array([g.coeffs]), p**k).tolist() == [want]
+    cs = [scale * c for c in coeffs]
+    want = oracle_zero_count(cs, p**k)
+    assert forms.orbit_sum(cs, p, k) == want
+    assert forms.zero_count_mod_batch(np.array([cs]), p**k).tolist() == [want]
+    if len(cs) > 1:  # a BinaryForm has degree >= 1
+        g = BinaryForm(cs)
+        assert forms.zero_count_mod(g, p**k) == want
+        assert forms.zero_count_prime_power(g, p, k) == want
+
+
+def test_orbit_sum_uncached_monomials(monkeypatch):
+    # moduli with (d+1)*q above the cache size build their monomials on every call
+    rows = np.array([[1, 0, 1], [3, 6, 9], [0, 0, 0], [2, -1, 5]], dtype=np.int64)
+    want = oracle_zero_counts_grid(rows, 27).tolist()
+    assert forms.zero_count_mod_batch(rows, 27).tolist() == want
+    monkeypatch.setattr(forms, "_MONO_CACHE_SIZE", 0)
+    assert forms.zero_count_mod_batch(rows, 27).tolist() == want
 
 
 def test_batch_matches_single():
