@@ -96,11 +96,15 @@ def make_instance(field: NumberField, coeffs: Sequence[int]) -> ChateletInstance
 # ---------------------------------------------------------------------------
 # Real solvability.
 
-def real_solvable(instance: ChateletInstance, sign: int) -> Optional[bool]:
+def real_solvable(instance: ChateletInstance, sign: int) -> bool:
     """Does the sign range of N_K meet the sign-`sign` values of g?
 
-    None when the certified extreme enclosures straddle zero and the
-    verdict cannot be settled.
+    For even d, g(u, v) = v^d f(u/v) with f(t) = g(t, 1) and v^d > 0,
+    while g(1, 0) = c0 is 0 or the sign f takes beyond its outer real
+    roots.  So the signs of g are the signs of f on the gaps between its
+    real roots, decided exactly at one rational point per gap: the left
+    end of the first isolating interval and the right end of each, whose
+    endpoints are never roots (t = 0 when f has no real root).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -112,20 +116,10 @@ def real_solvable(instance: ChateletInstance, sign: int) -> Optional[bool]:
     if g.degree % 2 == 1:
         # odd degree: g(-u,-v) = -g(u,v), both signs are attained
         return True
-    ext = forms.extremes(g)
-    if sign == 1:
-        lo, hi = ext.b_plus  # enclosure of the maximum on the sup sphere
-        if lo > 0:
-            return True
-        if hi <= 0:
-            return False
-        return None
-    lo, hi = ext.b_minus
-    if hi < 0:
-        return True
-    if lo >= 0:
-        return False
-    return None
+    f = g.dehomogenized()
+    boxes = polys.isolate_real_roots(polys.squarefree_part(f))
+    samples = [boxes[0][0]] + [hi for _, hi in boxes] if boxes else [0]
+    return any(sign * polys.poly_eval(f, t) > 0 for t in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -740,13 +734,10 @@ def classify_coeffs(
     time_budget: int = 10**7,
 ) -> tuple[str, Optional[tuple], list[tuple[int, str]], Optional[str]]:
     """(class, witness, per-prime verdicts, obstruction note) for one form."""
-    coeffs = tuple(int(c) for c in coeffs)
-    if max(abs(c) for c in coeffs) > H or coeffs[0] * coeffs[-1] == 0:
-        return "not-in-S", None, [], None
     inst = ChateletInstance(field=field, form=BinaryForm(coeffs))
-    plus = real_solvable(inst, 1)
-    minus = real_solvable(inst, -1)
-    if plus is False and minus is False:
+    if not inst.in_S(H):
+        return "not-in-S", None, [], None
+    if not (real_solvable(inst, 1) or real_solvable(inst, -1)):
         return "locally-obstructed", None, [], "real place"
     verdicts: list[tuple[int, str]] = []
     for p in tested_primes(inst, prime_cutoff):

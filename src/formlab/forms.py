@@ -3,8 +3,7 @@
 A form of degree d is stored as coefficients (c0, ..., cd) for
 g(u, v) = c0*u^d + c1*u^(d-1)*v + ... + cd*v^d, with c0 the leading
 u-coefficient and cd the constant one.  All algebra is exact: big-int
-evaluation, fraction-free discriminants, rational-certified boundary
-extremes.
+evaluation and fraction-free discriminants.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
@@ -226,9 +224,7 @@ def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
     if sigma >= k:
         return p ** (2 * k)
     if p ** (k - sigma) > 10**6:
-        raise ResourceLimitError("prime power exceeds the lifting budget")
-    if p * p > 10**7:
-        raise ResourceLimitError("seed prime too large for grid enumeration")
+        raise ResourceLimitError("prime power exceeds the orbit-sum budget")
     return p ** (2 * sigma) * orbit_sum(coeffs, p, k - sigma)
 
 
@@ -241,89 +237,6 @@ def zero_count_mod_batch(coeff_rows: np.ndarray, q: int) -> np.ndarray:
     return math.prod(
         (orbit_sum(rows, p, k) for p, k in arith.factorize(q).items()),
         start=np.ones(len(rows), dtype=np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Boundary extremes on the sup-norm unit square.
-
-@dataclass(frozen=True)
-class ExtremeValues:
-    """Certified enclosures of the form's min and max on max(|u|,|v|) = 1."""
-
-    b_minus: tuple[Fraction, Fraction]
-    b_plus: tuple[Fraction, Fraction]
-    witness_minus: tuple[Fraction, Fraction]
-    witness_plus: tuple[Fraction, Fraction]
-
-    @property
-    def width(self) -> Fraction:
-        return max(self.b_minus[1] - self.b_minus[0], self.b_plus[1] - self.b_plus[0])
-
-
-def _edge_polys(form: BinaryForm):
-    # Restrictions of g to the four boundary edges, each with the map
-    # from the edge parameter t in [-1, 1] back to the boundary point.
-    c = form.coeffs
-    d = form.degree
-    p1 = list(reversed(c))  # g(t, 1)
-    p2 = [cc * (-1) ** (d - j) for j, cc in enumerate(reversed(c))]  # g(t, -1)
-    p3 = list(c)  # g(1, t)
-    p4 = [cc * (-1) ** (d - j) for j, cc in enumerate(c)]  # g(-1, t)
-    return [
-        (p1, lambda t: (t, Fraction(1))),
-        (p2, lambda t: (t, Fraction(-1))),
-        (p3, lambda t: (Fraction(1), t)),
-        (p4, lambda t: (Fraction(-1), t)),
-    ]
-
-
-def extremes(form: BinaryForm) -> ExtremeValues:
-    """Certified min/max of g over the boundary square.
-
-    On each edge the restriction is univariate; its interior critical
-    points are isolated by Sturm chains and the values enclosed by
-    interval Horner evaluation, so the enclosures are rigorous.  Width
-    is at most max|c_i| / 2^30.
-    """
-    max_c = max((abs(c) for c in form.coeffs), default=0)
-    tol = Fraction(max(max_c, 1), 2**30)
-    one = Fraction(1)
-    candidates: list[tuple[Fraction, Fraction, tuple[Fraction, Fraction]]] = []
-    for poly, to_point in _edge_polys(form):
-        fpoly = [Fraction(c) for c in poly]
-        for t in (-one, one):
-            v = polys.poly_eval(fpoly, t)
-            candidates.append((v, v, to_point(t)))
-        dpoly = polys.poly_deriv(poly)
-        if polys.degree(dpoly) < 1:
-            continue
-        sf = polys.squarefree_part(dpoly)
-        for lo, hi in polys.isolate_real_roots(sf):
-            if hi <= -one or lo >= one:
-                continue
-            width = tol / (sum(abs(c) for c in fpoly) + 1)
-            for _ in range(80):
-                lo, hi = polys.refine_root(sf, lo, hi, width)
-                a, b = max(lo, -one), min(hi, one)
-                if a > b:
-                    break
-                box_lo, box_hi = polys.interval_eval(fpoly, a, b)
-                if box_hi - box_lo <= tol:
-                    candidates.append((box_lo, box_hi, to_point((a + b) / 2)))
-                    break
-                width /= 16
-            else:
-                raise ArithmeticError("extreme enclosure failed to converge")
-    lo_best = min(candidates, key=lambda c: c[0])
-    lo_alt = min(candidates, key=lambda c: c[1])
-    hi_best = max(candidates, key=lambda c: c[1])
-    hi_alt = max(candidates, key=lambda c: c[0])
-    return ExtremeValues(
-        b_minus=(lo_best[0], lo_alt[1]),
-        b_plus=(hi_alt[0], hi_best[1]),
-        witness_minus=lo_best[2],
-        witness_plus=hi_best[2],
     )
 
 
@@ -421,10 +334,6 @@ class CombinatorialCube:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "fixed", items)
-
-    @property
-    def dimension(self) -> int:
-        return self.degree + 1 - len(self.fixed)
 
     def sample(self, seed: int, index: int) -> BinaryForm:
         """Uniform draw; depends only on (seed, index), not draw order."""

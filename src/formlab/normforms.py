@@ -174,23 +174,6 @@ class NumberField:
         ov = tuple(sorted((int(p), tuple(tuple(x) for x in t)) for p, t in (overrides or {}).items()))
         return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name, overrides=ov)
 
-    def multiply(self, a: Sequence, b: Sequence):
-        """Coordinates of the product of two basis-coordinate vectors."""
-        e = self.degree
-        out = [0] * e
-        for i in range(e):
-            if a[i] == 0:
-                continue
-            for j in range(e):
-                if b[j] == 0:
-                    continue
-                coef = a[i] * b[j]
-                for k in range(e):
-                    m = self.table[i][j][k]
-                    if m:
-                        out[k] = out[k] + coef * m
-        return out
-
     def to_json(self) -> str:
         data = {
             "poly": list(self.poly),

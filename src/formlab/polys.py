@@ -3,9 +3,9 @@
 Polynomials are sequences of coefficients in ascending degree order:
 index i holds the t^i coefficient.  Integer routines (resultants,
 discriminants) are fraction-free via Bareiss elimination; real-root
-machinery (Sturm chains, bisection, interval Horner) runs on Fractions
-so every reported bound is exact.  A dense mod-p toolkit provides
-gcds, factor shapes and root counts at primes.
+isolation by Sturm chains runs on Fractions, so every isolating interval
+is exact.  A dense mod-p toolkit provides gcds and factor shapes at
+primes.
 """
 
 from __future__ import annotations
@@ -35,20 +35,6 @@ def poly_eval(f: Sequence, x):
     for c in reversed(list(f)):
         out = out * x + c
     return out
-
-
-def poly_add(f: Sequence, g: Sequence) -> list:
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def poly_sub(f: Sequence, g: Sequence) -> list:
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def poly_scale(f: Sequence, c) -> list:
-    return trim([c * a for a in f])
 
 
 def poly_mul(f: Sequence, g: Sequence) -> list:
@@ -256,7 +242,7 @@ def _split_points(a: Fraction, b: Fraction):
 
 
 def isolate_real_roots(f: Sequence) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals, one simple real root in each.
+    """Disjoint rational intervals, one simple real root in each, in increasing order.
 
     f must be squarefree.  Every returned endpoint is a non-root, so the
     sign of f changes across each interval.
@@ -283,37 +269,6 @@ def isolate_real_roots(f: Sequence) -> list[tuple[Fraction, Fraction]]:
         stack.append((mid, b))
     out.sort()
     return out
-
-
-def refine_root(f: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval until b - a <= width (exact if rational)."""
-    f = trim([Fraction(c) for c in f])
-    a, b = Fraction(a), Fraction(b)
-    fa = poly_eval(f, a)
-    if fa == 0:
-        return a, a
-    if poly_eval(f, b) == 0:
-        return b, b
-    while b - a > width:
-        mid = (a + b) / 2
-        fm = poly_eval(f, mid)
-        if fm == 0:
-            return mid, mid
-        if (fa < 0) != (fm < 0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    return a, b
-
-
-def interval_eval(f: Sequence, lo, hi) -> tuple[Fraction, Fraction]:
-    """Exact interval-arithmetic Horner enclosure of f over [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    rlo = rhi = Fraction(0)
-    for c in reversed(trim(f)):
-        prods = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo, rhi = min(prods) + c, max(prods) + c
-    return rlo, rhi
 
 
 # ---------------------------------------------------------------------------

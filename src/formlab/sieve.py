@@ -17,16 +17,14 @@ come from a per-call table of the primes up to sqrt(max |n|).  Only
 magnitudes >= 2**31 take the scalar _prime_power_base.  Every value is
 math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
 
-Also provides the arithmetic-progression discrepancy report used to
-probe equidistribution of a value sequence, and the exact pair count
-for divisibility of v1^a v2^b (v1^c - v2^c) by a prime power.
+Also provides the exact pair count for divisibility of
+v1^a v2^b (v1^c - v2^c) by a prime power.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -56,17 +54,6 @@ class Mangoldt(NamedTuple):
     value: float
     prime: int | None
     exponent: int
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    modulus: int
-    residue: int
-    start: int
-    stop: int
-    raw_sum: float
-    normalized: float
-    exceptional: tuple[int, ...] = ()
 
 
 class SieveTable:
@@ -343,63 +330,6 @@ def _prime_power_base(n: int) -> int | None:
 
 def build_sieve(bound: int) -> SieveTable:
     return SieveTable(bound)
-
-
-def ap_discrepancy(
-    values: Sequence[float] | np.ndarray,
-    modulus: int,
-    residue: int,
-    start: int = 1,
-    exceptional: tuple[int, ...] = (),
-) -> DiscrepancyReport:
-    """Normalized arithmetic-progression discrepancy of a value sequence.
-
-    values[i] belongs to the integer n = start + i.  Returns the raw sum
-    over n = residue (mod modulus) and (q/|I|)*|raw|.  Residues are taken
-    mod q, so residue 0 and residue q are the same class.
-    """
-    n_terms = len(values)
-    if n_terms == 0:
-        raise ValueError("interval must be nonempty")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    residue_norm = ((residue - 1) % modulus) + 1
-    arr = np.asarray(values, dtype=np.float64)
-    idx = np.arange(start, start + n_terms, dtype=np.int64)
-    raw = float(arr[idx % modulus == residue_norm % modulus].sum())
-    normalized = modulus * abs(raw) / n_terms
-    return DiscrepancyReport(
-        modulus=modulus,
-        residue=residue_norm,
-        start=start,
-        stop=start + n_terms - 1,
-        raw_sum=raw,
-        normalized=normalized,
-        exceptional=tuple(exceptional),
-    )
-
-
-def exceptional_moduli(
-    values: Sequence[float] | np.ndarray,
-    threshold: float,
-    q_max: int,
-    start: int = 1,
-) -> tuple[int, ...]:
-    """Prime powers q <= q_max whose worst residue-class discrepancy exceeds threshold."""
-    arr = np.asarray(values, dtype=np.float64)
-    if len(arr) == 0:
-        raise ValueError("interval must be nonempty")
-    idx = np.arange(start, start + len(arr), dtype=np.int64)
-    out = []
-    for p in arith.primes(q_max):
-        q = p
-        while q <= q_max:
-            sums = np.bincount(idx % q, weights=arr, minlength=q)
-            worst = q * np.abs(sums).max() / len(arr)
-            if worst > threshold:
-                out.append(q)
-            q *= p
-    return tuple(sorted(out))
 
 
 def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,9 +78,11 @@ def test_real_imaginary_field_positive_form(Qi):
 
 
 def test_real_imaginary_field_negative_form(Qi):
-    inst = inst_of(Qi, [-1, 0, -1])
-    assert ch.real_solvable(inst, 1) is False
-    assert ch.real_solvable(inst, -1) is False
+    # -3(2u + v)^2 and -(u^2 - 2v^2)^2 touch 0 but never turn positive
+    for coeffs in ([-1, 0, -1], [-12, -12, -3], [-1, 0, 4, 0, -4]):
+        inst = inst_of(Qi, coeffs)
+        assert ch.real_solvable(inst, 1) is False
+        assert ch.real_solvable(inst, -1) is False
 
 
 def test_real_embedded_field(fields):
@@ -92,6 +95,11 @@ def test_real_embedded_field(fields):
     pos = inst_of(fields["sqrt2"], [1, 0, 1])
     assert ch.real_solvable(pos, 1) is True
     assert ch.real_solvable(pos, -1) is False
+    # nonpositive squares with a rational and an irrational double root
+    for coeffs in ([-12, -12, -3], [-1, 0, 4, 0, -4]):
+        neg = inst_of(fields["sqrt2"], coeffs)
+        assert ch.real_solvable(neg, 1) is False
+        assert ch.real_solvable(neg, -1) is True
 
 
 def test_real_odd_degree_both_signs(fields):
@@ -104,6 +112,73 @@ def test_real_zero_form_and_bad_sign(Qi):
     assert ch.real_solvable(inst_of(Qi, [0, 0, 0]), 1) is False
     with pytest.raises(ValueError):
         ch.real_solvable(inst_of(Qi, [1, 0, 1]), 0)
+
+
+def oracle_real_signs(field, coeffs):
+    """Signs of N_K(x) = g(u, v) != 0 over R, found with sympy alone.
+
+    g(t, 1) is sampled at a rational point of each gap between its
+    distinct real roots; g(1, 0) = c0 covers v = 0.
+    """
+    t = sympy.symbols("t")
+    f = sympy.Poly(list(coeffs), t)  # c0 t^d + ... + cd = g(t, 1)
+    if f.is_zero:
+        return set()
+    # closed isolating intervals, narrow enough that neighbours do not touch
+    boxes = [box for box, _ in f.intervals(eps=sympy.Rational(1, 10**9))]
+    if boxes:
+        points = [boxes[0][0] - 1, boxes[-1][1] + 1]
+        for (_, b), (a, _) in zip(boxes, boxes[1:]):
+            assert b < a
+            points.append((a + b) / 2)
+    else:
+        points = [0]
+    signs = {sympy.sign(f.eval(x)) for x in points} | {sympy.sign(coeffs[0])}
+    signs.discard(0)
+    field_poly = sympy.Poly(list(reversed(field.poly)), t)
+    if not sympy.real_roots(field_poly):  # totally imaginary: N_K > 0
+        signs.discard(-1)
+    return signs
+
+
+# forms h(u, v) with irrational, rational or no real roots, planted as squares
+_PLANTED = [(1, 0, -2), (1, 0, -3), (1, 1, -1), (2, 1), (1, -3), (1, 0, 1), (3, 0, -5)]
+
+
+@st.composite
+def _real_cases(draw):
+    name = draw(st.sampled_from(["gaussian", "sqrt2", "cbrt2"]))
+    d = 6 if name == "cbrt2" else draw(st.sampled_from([2, 4, 6]))
+    if draw(st.booleans()):  # +-k h^2 r with r of the remaining degree
+        k = draw(st.sampled_from([1, -1, 3, -3]))
+        h = BinaryForm(draw(st.sampled_from([h for h in _PLANTED if 2 * len(h) - 2 <= d])))
+        g = h * h
+        rest = d - g.degree
+        if rest:
+            r = draw(st.lists(st.integers(-4, 4), min_size=rest + 1, max_size=rest + 1))
+            g = g * BinaryForm(r)
+        coeffs = [k * c for c in g.coeffs]
+    else:
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+    end = draw(st.sampled_from([None, 0, -1]))  # force c0 = 0 or cd = 0
+    if end is not None:
+        coeffs[end] = 0
+    return name, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_real_cases(), sign=st.sampled_from([1, -1]))
+@example(case=("sqrt2", [-1, 0, 4, 0, -4]), sign=-1)  # -(u^2 - 2v^2)^2
+@example(case=("sqrt2", [-1, 0, 4, 0, -4]), sign=1)
+@example(case=("sqrt2", [-12, -12, -3]), sign=1)  # -3(2u + v)^2
+@example(case=("gaussian", [0, 0, 0]), sign=1)  # the zero form
+@example(case=("cbrt2", [0, 0, 0, 0, 0, 0, 1]), sign=-1)  # c0 = 0, even power of v
+def test_real_solvable_matches_sympy_oracle(fields, case, sign):
+    name, coeffs = case
+    field = fields[name]
+    got = ch.real_solvable(inst_of(field, coeffs), sign)
+    assert type(got) is bool
+    assert got == (sign in oracle_real_signs(field, coeffs))
 
 
 # ---------------------------------------------------------------------------

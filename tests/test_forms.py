@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,22 +22,6 @@ def oracle_zero_count(coeffs, q):
     return sum(
         1 for u in range(q) for v in range(q) if oracle_eval(coeffs, u, v) % q == 0
     )
-
-
-def oracle_boundary_grid(coeffs, steps=2000):
-    vals = []
-    for k in range(-steps, steps + 1):
-        t = Fraction(k, steps)
-        vals.append(oracle_eval_frac(coeffs, t, Fraction(1)))
-        vals.append(oracle_eval_frac(coeffs, t, Fraction(-1)))
-        vals.append(oracle_eval_frac(coeffs, Fraction(1), t))
-        vals.append(oracle_eval_frac(coeffs, Fraction(-1), t))
-    return min(vals), max(vals)
-
-
-def oracle_eval_frac(coeffs, u, v):
-    d = len(coeffs) - 1
-    return sum(c * u ** (d - i) * v**i for i, c in enumerate(coeffs))
 
 
 def _random_form(rng, d=None, lim=6):
@@ -171,6 +154,9 @@ def test_fast_path_worked():
     assert forms.orbit_sum((3, 6, 9), 3, 1) == 9  # content divisible by p
     assert forms.orbit_sum((0, 0, 0), 2, 3) == 64  # the zero form
     assert forms.orbit_sum((1, 0, 1), 2, 3) == oracle_zero_count((1, 0, 1), 8)  # k > d
+    # u*v vanishes mod p exactly on the two axes: 2p - 1 pairs, at a p whose
+    # p^2 grid exceeds 10^7 but whose orbit sum has only p + 1 points
+    assert forms.zero_count_prime_power(BinaryForm([0, 1, 0]), 3163, 1) == 2 * 3163 - 1
     # a unit-invariant weight: residue counts of u^2 + v^2 mod 5
     cnt = np.bincount([(u * u + v * v) % 5 for u in range(5) for v in range(5)], minlength=5)
     want = sum(int(cnt[oracle_eval((1, 2, 2), s, t) % 5]) for s in range(5) for t in range(5))
@@ -268,96 +254,6 @@ def test_zero_count_bound_saturated_case():
     assert res.saturated and res.holds and res.count == 4
 
 
-# -- extremes ----------------------------------------------------------------------
-
-def test_extremes_worked():
-    e = forms.extremes(BinaryForm([1, 0, 1]))
-    assert e.b_minus[0] <= 1 <= e.b_minus[1]
-    assert e.b_plus[0] <= 2 <= e.b_plus[1]
-    assert e.width <= Fraction(1, 2**29)
-
-    e = forms.extremes(BinaryForm([0, 1, 0]))
-    assert e.b_minus[0] <= -1 <= e.b_minus[1]
-    assert e.b_plus[0] <= 1 <= e.b_plus[1]
-
-    e = forms.extremes(BinaryForm([1, 0]))
-    assert e.b_minus[0] <= -1 <= e.b_minus[1]
-    assert e.b_plus[0] <= 1 <= e.b_plus[1]
-
-
-def test_extremes_vs_grid_oracle():
-    rng = random.Random(43)
-    for _ in range(25):
-        g = _random_form(rng, d=rng.randint(1, 3), lim=5)
-        lo_grid, hi_grid = oracle_boundary_grid(g.coeffs, steps=400)
-        e = forms.extremes(g)
-        # grid values are genuine boundary values
-        assert e.b_minus[0] <= lo_grid
-        assert e.b_plus[1] >= hi_grid
-        # and the true extreme can't be far below/above the dense grid
-        lip = sum(abs(c) for c in g.coeffs) * g.degree
-        slack = Fraction(lip, 400)
-        assert e.b_minus[1] >= lo_grid - slack
-        assert e.b_plus[0] <= hi_grid + slack
-        assert e.width <= Fraction(max(abs(c) for c in g.coeffs), 2**30)
-
-
-def test_extremes_witnesses_on_boundary():
-    rng = random.Random(47)
-    for _ in range(20):
-        g = _random_form(rng)
-        e = forms.extremes(g)
-        for w in (e.witness_minus, e.witness_plus):
-            assert max(abs(w[0]), abs(w[1])) == 1
-
-
-def test_minmax_shift_even_degree():
-    # decrementing both end coefficients shifts the boundary max by [1, 2]
-    rng = random.Random(53)
-    for _ in range(30):
-        d = rng.choice([2, 4])
-        g = _random_form(rng, d=d, lim=5)
-        cs = list(g.coeffs)
-        cs[0] -= 1
-        cs[-1] -= 1
-        shifted = BinaryForm(cs)
-        eg, es = forms.extremes(g), forms.extremes(shifted)
-        diff_lo = eg.b_plus[0] - es.b_plus[1]
-        diff_hi = eg.b_plus[1] - es.b_plus[0]
-        assert diff_hi >= 1 and diff_lo <= 2
-        slack = eg.width + es.width
-        assert diff_lo >= 1 - slack
-        assert diff_hi <= 2 + slack
-
-
-def test_minmax_difference_bound():
-    # sup/inf shift bounds from the pointwise difference form
-    rng = random.Random(59)
-    for _ in range(25):
-        d = rng.randint(1, 3)
-        f = _random_form(rng, d=d, lim=4)
-        g = _random_form(rng, d=d, lim=4)
-        h = BinaryForm([a - b for a, b in zip(f.coeffs, g.coeffs)])
-        if h.is_zero:
-            continue
-        ef, eg, eh = forms.extremes(f), forms.extremes(g), forms.extremes(h)
-        slack = ef.width + eg.width + eh.width
-        for pair in ((ef.b_plus, eg.b_plus), (ef.b_minus, eg.b_minus)):
-            diff_lo = pair[0][0] - pair[1][1]
-            diff_hi = pair[0][1] - pair[1][0]
-            assert diff_hi >= eh.b_minus[0] - slack
-            assert diff_lo <= eh.b_plus[1] + slack
-
-
-def test_odd_degree_extreme_lower_bound():
-    rng = random.Random(61)
-    for _ in range(30):
-        g = _random_form(rng, d=rng.choice([1, 3]), lim=5)
-        e = forms.extremes(g)
-        want = max(abs(g.coeffs[0]), abs(g.coeffs[-1]))
-        assert e.b_plus[1] >= want
-
-
 # -- gcd bound -----------------------------------------------------------------------
 
 def test_gcd_bound_worked():
@@ -396,7 +292,6 @@ def test_gcd_bound_fuzz():
 
 def test_cube_zero_dimensional():
     cube = CombinatorialCube(2, 5, {0: 1, 1: -2, 2: 3})
-    assert cube.dimension == 0
     for i in range(5):
         assert cube.sample(99, i).coeffs == (1, -2, 3)
 

@@ -101,7 +101,6 @@ def test_multiplication_table_gaussian(presets):
     gi = presets["gaussian"]
     # i * i = -1
     assert gi.table[1][1] == (-1, 0)
-    assert gi.multiply([1, 2], [3, 4]) == [1 * 3 - 2 * 4, 1 * 4 + 2 * 3]
 
 
 def test_json_round_trip(presets):

@@ -95,40 +95,6 @@ def test_real_root_isolation_counts():
             assert lo <= hi
 
 
-def test_refine_root_sqrt2():
-    f = [-2, 0, 1]
-    (neg, pos) = polys.isolate_real_roots(f)
-    width = Fraction(1, 2**40)
-    lo, hi = polys.refine_root(f, pos[0], pos[1], width)
-    assert hi - lo <= width
-    assert lo * lo <= 2 <= hi * hi
-    lo2, hi2 = polys.refine_root(f, neg[0], neg[1], width)
-    assert hi2 < 0 and lo2 * lo2 >= 2 >= hi2 * hi2
-
-
-def test_refine_root_brackets_rational_roots():
-    f = [-6, 1, 1]  # (t+3)(t-2)
-    boxes = polys.isolate_real_roots(f)
-    assert len(boxes) == 2
-    roots = sorted(polys.refine_root(f, a, b, Fraction(1, 10**9)) for a, b in boxes)
-    assert roots[0][0] <= -3 <= roots[0][1]
-    assert roots[1][0] <= 2 <= roots[1][1]
-    for lo, hi in roots:
-        assert hi - lo <= Fraction(1, 10**9)
-
-
-def test_interval_eval_encloses_samples():
-    rng = random.Random(41)
-    for _ in range(30):
-        f = _random_poly(rng, rng.randint(1, 5))
-        lo, hi = Fraction(-3, 2), Fraction(7, 4)
-        box = polys.interval_eval(f, lo, hi)
-        for k in range(11):
-            x = lo + (hi - lo) * Fraction(k, 10)
-            v = polys.poly_eval([Fraction(c) for c in f], x)
-            assert box[0] <= v <= box[1]
-
-
 def test_squarefree_part():
     # (t-1)^2 (t+2) -> (t-1)(t+2)
     f = polys.poly_mul(polys.poly_mul([-1, 1], [-1, 1]), [2, 1])

@@ -259,43 +259,6 @@ def test_load_rejects_garbage(tmp_path):
         sv.SieveTable.load(path)
 
 
-# -- discrepancy --------------------------------------------------------------
-
-def test_discrepancy_constant_function():
-    rep = sv.ap_discrepancy(np.ones(100), modulus=2, residue=1, start=1)
-    assert rep.normalized == 1.0
-    assert rep.raw_sum == 50.0
-    assert rep.start == 1 and rep.stop == 100
-
-
-def test_discrepancy_liouville(sieve_small):
-    vals = [sieve_small.liouville(n) for n in range(1, 11)]
-    rep = sv.ap_discrepancy(vals, modulus=1, residue=1)
-    assert rep.raw_sum == 0.0 and rep.normalized == 0.0
-
-
-def test_discrepancy_mobius(sieve_small):
-    vals = [sieve_small.mobius(n) for n in range(1, 10)]
-    rep = sv.ap_discrepancy(vals, modulus=3, residue=0)
-    assert rep.raw_sum == 0.0  # mu(3) + mu(6) + mu(9) = -1 + 1 + 0
-    assert rep.residue == 3
-
-
-def test_discrepancy_validation():
-    with pytest.raises(ValueError):
-        sv.ap_discrepancy([], 2, 1)
-
-
-def test_exceptional_moduli_planted():
-    n = 2880
-    vals = np.array([1.0 if i % 4 == 0 else 0.0 for i in range(1, n + 1)])
-    got = sv.exceptional_moduli(vals, threshold=0.6, q_max=20)
-    assert got == (4, 8, 16)
-    for q in got:
-        fac = oracle_factor(q)
-        assert len(fac) == 1  # prime power invariant
-
-
 # -- prime power pair counts ---------------------------------------------------
 
 def oracle_pair_count(q, a, b, c, x):
