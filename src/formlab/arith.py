@@ -1,10 +1,11 @@
 """Integer arithmetic primitives: primality, factorization, small sieves.
 
-Everything here is exact and deterministic.  is_prime uses the known
-deterministic Miller-Rabin witness set for 64-bit inputs and falls back
-to a fixed pseudo-random witness schedule beyond that; factorize adds a
-Pollard-Brent rho stage so that composites surviving trial division are
-still split exactly rather than reported as prime.
+Everything here is exact and deterministic.  is_prime is Miller-Rabin
+with the first 13 prime bases, which proves primality below
+psi_13 ~ 3.3e24 (Sorenson-Webster); above that bound it is a fixed-base
+probable-prime test.  factorize splits composites by Pollard-Brent rho,
+so its factors are proven prime below psi_13 and fixed-base probable
+primes above it.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def primes(limit: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, b in enumerate(sieve) if b]
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def euler_phi(n: int) -> int:

@@ -25,6 +25,7 @@ from .normforms import (
     NormForm,
     NumberField,
     RegionB,
+    _mp_eval_mod,
     _mp_partial,
     gamma_many,
     norm_residue_counts,
@@ -142,117 +143,59 @@ def _form_mpoly(form: BinaryForm) -> dict:
     return {(d - i, i): c for i, c in enumerate(form.coeffs) if c != 0}
 
 
-def _eval_members_mod(poly: dict, pts: list[tuple], q: int) -> list[int]:
-    """Values of an exponent-dict polynomial at integer points, mod q."""
-    if not pts:
-        return []
-    if q < 2**31:
-        cols = [np.array([pt[i] for pt in pts], dtype=np.int64) % q for i in range(len(pts[0]))]
-        acc = np.zeros(len(pts), dtype=np.int64)
-        for expo, coef in poly.items():
-            term = np.full(len(pts), int(coef) % q, dtype=np.int64)
-            for j, ex in enumerate(expo):
-                for _ in range(ex):
-                    term = term * cols[j] % q
-            acc = (acc + term) % q
-        return [int(v) for v in acc]
-    out = []
-    for pt in pts:
-        total = 0
-        for expo, coef in poly.items():
-            term = coef
-            for x, ex in zip(pt, expo):
-                term *= x**ex
-            total += term
-        out.append(total % q)
-    return out
-
-
-def _vp_residue(a: int, p: int, level: int) -> int:
-    """Valuation of a residue mod p^level; the zero residue reports level."""
-    if a % (p**level) == 0:
-        return level
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
+def _capped_valuation(r: np.ndarray, p: int, level: int) -> np.ndarray:
+    """min(v_p(r), level) for residues r mod p^level; residue 0 gives level."""
+    v = np.zeros(len(r), dtype=np.int64)
+    for j in range(1, level + 1):
+        v += r % p**j == 0
     return v
 
 
-def _grad_valuation(partials: Sequence[dict], pt: tuple, p: int, cap: int) -> int:
-    best = cap
-    for g in partials:
-        val = 0
-        for expo, coef in g.items():
-            term = coef
-            for x, ex in zip(pt, expo):
-                term *= x**ex
-            val += term
-        if val == 0:
-            continue
-        v = 0
-        while val % p == 0 and v < cap:
-            val //= p
-            v += 1
-        best = min(best, v)
-        if best == 0:
-            return 0
-    return best
-
-
 def _seed_side(poly: dict, partials: Sequence[dict], nvars: int, p: int, primitive: bool):
-    """Level-1 scan: residues a with a smooth preimage become wildcard
-    classes; singular points are kept as explicit members keyed by value."""
+    """Level-1 scan: values of smooth points (some partial a unit) become
+    wildcard classes; singular points are kept as members, as a point
+    array and a value array."""
     if p**nvars > _SEED_BUDGET:
         raise ResourceLimitError(f"level-1 residue scan too large at p={p}")
-    grids = np.indices((p,) * nvars).reshape(nvars, -1)
-    cols = [g.astype(np.int64) for g in grids]
+    pts = np.indices((p,) * nvars).reshape(nvars, -1).T
     if primitive:
-        keep = np.zeros(cols[0].shape, dtype=bool)
-        for c in cols:
-            keep |= c % p != 0
-        cols = [c[keep] for c in cols]
-    vals = np.zeros(cols[0].shape, dtype=np.int64)
-    for expo, coef in poly.items():
-        term = np.full(cols[0].shape, int(coef) % p, dtype=np.int64)
-        for j, ex in enumerate(expo):
-            for _ in range(ex):
-                term = term * cols[j] % p
-        vals = (vals + term) % p
-    smooth = np.zeros(cols[0].shape, dtype=bool)
+        pts = pts[pts.any(axis=1)]
+    vals = _mp_eval_mod(poly, pts.T, p)
+    smooth = np.zeros(len(pts), dtype=bool)
     for part in partials:
-        pv = np.zeros(cols[0].shape, dtype=np.int64)
-        for expo, coef in part.items():
-            term = np.full(cols[0].shape, int(coef) % p, dtype=np.int64)
-            for j, ex in enumerate(expo):
-                for _ in range(ex):
-                    term = term * cols[j] % p
-            pv = (pv + term) % p
-        smooth |= pv != 0
-    wild = {int(a) for a in np.unique(vals[smooth])}
-    members: dict[int, list[tuple]] = {}
-    sing_idx = np.nonzero(~smooth)[0]
-    for i in sing_idx:
-        pt = tuple(int(c[i]) for c in cols)
-        members.setdefault(int(vals[i]), []).append(pt)
-    return wild, members
+        smooth |= _mp_eval_mod(part, pts.T, p) != 0
+    return np.unique(vals[smooth]), pts[~smooth], vals[~smooth]
 
 
-def _lift_members(poly: dict, parents: list[tuple], nvars: int, p: int, level: int):
-    """Children of the given residues one level up, grouped by new value."""
-    q = p ** (level + 1)
-    if len(parents) * p**nvars > _FRONTIER_CAP:
+def _least_points(
+    pts: np.ndarray, vals: np.ndarray, partials: Sequence[dict], p: int, level: int,
+    targets: np.ndarray,
+):
+    """Per value in the sorted array `targets` (each attained): the least
+    gradient valuation min(v_p(partial), level) over its points, and the
+    least point attaining it."""
+    keep = np.isin(vals, targets)
+    pts, vals = pts[keep], vals[keep]
+    grad = np.full(len(vals), level)
+    for part in partials:
+        pv = _mp_eval_mod(part, pts.T, p**level)
+        grad = np.minimum(grad, _capped_valuation(pv, p, level))
+    order = np.lexsort((*pts.T[::-1], grad, vals))
+    first = order[np.unique(vals[order], return_index=True)[1]]
+    return grad[first], pts[first]
+
+
+def _lift(poly: dict, pts: np.ndarray, p: int, level: int):
+    """Children pts + shift * p^level (each shift coordinate mod p) and
+    their values mod p^(level+1)."""
+    nvars = pts.shape[1]
+    if len(pts) * p**nvars > _FRONTIER_CAP:
         raise ResourceLimitError("p-adic frontier exceeded the budget")
-    shifts = np.indices((p,) * nvars).reshape(nvars, -1).T * (p**level)
-    children: list[tuple] = []
-    for pt in parents:
-        for sh in shifts:
-            children.append(tuple(int(b) + int(s) for b, s in zip(pt, sh)))
-    vals = _eval_members_mod(poly, children, q)
-    out: dict[int, list[tuple]] = {}
-    for v, ch in zip(vals, children):
-        out.setdefault(v, []).append(ch)
-    return out
+    q = p ** (level + 1)
+    dtype = np.int64 if q < 2**63 else object
+    shifts = np.indices((p,) * nvars).reshape(nvars, -1).T.astype(dtype) * p**level
+    children = (pts.astype(dtype)[:, None, :] + shifts[None]).reshape(-1, nvars)
+    return children, _mp_eval_mod(poly, children.T, q)
 
 
 def padic_solvable(
@@ -265,7 +208,8 @@ def padic_solvable(
     has valuation alpha and whose value residue is nonzero enough
     certifies yes(alpha).  An empty match set certifies no.  Residues
     with a smooth one-sided preimage are tracked as whole classes: the
-    smooth side can hit any target value in them.
+    smooth side can hit any target value in them.  Each side holds its
+    members as a point array and a value array mod p^level.
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -284,64 +228,48 @@ def padic_solvable(
         # partial, so a smooth level-1 solution always exists
         return PadicVerdict("yes", 0, 1)
 
-    norm = instance.norm
-    n_poly = dict(norm.poly)
-    n_partials = [dict(pp) for pp in norm.partials]
+    n_poly, n_partials = instance.norm.poly, instance.norm.partials
     g_poly = _form_mpoly(g)
     g_partials = [_mp_partial(g_poly, 0), _mp_partial(g_poly, 1)]
 
-    n_wild, n_mem = _seed_side(n_poly, n_partials, e, p, primitive=False)
-    g_wild, g_mem = _seed_side(g_poly, g_partials, 2, p, primitive=True)
+    n_wild, n_pts, n_vals = _seed_side(n_poly, n_partials, e, p, primitive=False)
+    g_wild, g_pts, g_vals = _seed_side(g_poly, g_partials, 2, p, primitive=True)
 
-    overlap = n_wild & g_wild
-    if overlap:
+    if np.intersect1d(n_wild, g_wild).size:
         # both sides realize every value in the class exactly; pick any
         # nonzero common target
         return PadicVerdict("yes", 0, 1)
 
     for level in range(1, k + 1):
-        matched_n: set[int] = set()
-        matched_g: set[int] = set()
-        best: Optional[tuple[int, int, tuple]] = None  # (alpha, value, witness)
-        for a in sorted(set(n_mem) & set(g_mem)):
-            matched_n.add(a)
-            matched_g.add(a)
-            mu_n, wx = min(
-                (_grad_valuation(n_partials, pt, p, level), pt) for pt in n_mem[a]
-            )
-            mu_g, wst = min(
-                (_grad_valuation(g_partials, pt, p, level), pt) for pt in g_mem[a]
-            )
-            alpha = min(mu_n, mu_g)
-            if level >= 2 * alpha + 1 and _vp_residue(a, p, level) < level - alpha:
-                if best is None or alpha < best[0]:
-                    best = (alpha, a, (wx, wst))
-        if best is not None:
-            alpha, _, witness = best
-            return PadicVerdict("yes", alpha, level, witness)
+        both = np.intersect1d(n_vals, g_vals)
+        if both.size:
+            mu_n, wx = _least_points(n_pts, n_vals, n_partials, p, level, both)
+            mu_g, wst = _least_points(g_pts, g_vals, g_partials, p, level, both)
+            alpha = np.minimum(mu_n, mu_g)
+            ok = (level >= 2 * alpha + 1) & (_capped_valuation(both, p, level) < level - alpha)
+            if ok.any():
+                i = np.flatnonzero(ok)[np.argmin(alpha[ok])]  # least alpha, then value
+                witness = (tuple(map(int, wx[i])), tuple(map(int, wst[i])))
+                return PadicVerdict("yes", int(alpha[i]), level, witness)
         # one-sided smooth classes match any member whose value lies in
         # them; once the member's value residue is pinned nonzero the
         # smooth side meets it exactly
-        for a in n_mem:
-            if a % p in g_wild:
-                matched_n.add(a)
-                if _vp_residue(a, p, level) < level:
-                    return PadicVerdict("yes", 0, level, (min(n_mem[a]), None))
-        for a in g_mem:
-            if a % p in n_wild:
-                matched_g.add(a)
-                if _vp_residue(a, p, level) < level:
-                    return PadicVerdict("yes", 0, level, (None, min(g_mem[a])))
-        if not matched_n and not matched_g:
+        n_one = np.isin(n_vals % p, g_wild)
+        g_one = np.isin(g_vals % p, n_wild)
+        for one, pts, vals, side in ((n_one, n_pts, n_vals, 0), (g_one, g_pts, g_vals, 1)):
+            hit = one & (_capped_valuation(vals, p, level) < level)
+            if hit.any():
+                at = pts[vals == vals[hit].min()]
+                w = tuple(map(int, at[np.lexsort(at.T[::-1])[0]]))
+                return PadicVerdict("yes", 0, level, (w, None) if side == 0 else (None, w))
+        n_keep = n_one | np.isin(n_vals, both)
+        g_keep = g_one | np.isin(g_vals, both)
+        if not (n_keep.any() or g_keep.any()):
             return PadicVerdict("no", None, level)
         if level == k:
-            return PadicVerdict("unknown", None, level)
-        n_mem = _lift_members(
-            n_poly, [pt for a in matched_n for pt in n_mem[a]], e, p, level
-        )
-        g_mem = _lift_members(
-            g_poly, [pt for a in matched_g for pt in g_mem[a]], 2, p, level
-        )
+            break
+        n_pts, n_vals = _lift(n_poly, n_pts[n_keep], p, level)
+        g_pts, g_vals = _lift(g_poly, g_pts[g_keep], p, level)
     return PadicVerdict("unknown", None, k)
 
 
@@ -496,9 +424,9 @@ def model_W(w_desk: int, k_desk: int) -> int:
     return out
 
 
-def _value_table(instance: ChateletInstance, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """g(m, n) for -x <= m, n <= x with n != 0, as flat int64 arrays (m kept
-    for witnesses is unnecessary: only the multiset of values matters)."""
+def _value_table(instance: ChateletInstance, x: int) -> np.ndarray:
+    """g(m, n) for -x <= m, n <= x with n != 0, flat int64, m-major (only
+    the multiset of values matters)."""
     if x < 1:
         raise ValueError("x must be at least 1")
     d = instance.d
@@ -507,15 +435,8 @@ def _value_table(instance: ChateletInstance, x: int) -> tuple[np.ndarray, np.nda
         raise ResourceLimitError("form values overflow the integer grid")
     if (2 * x + 1) ** 2 > _VALUE_BUDGET:
         raise ResourceLimitError("value grid exceeds the enumeration budget")
-    ms = np.arange(-x, x + 1, dtype=np.int64)
-    ns = np.concatenate([np.arange(-x, 0), np.arange(1, x + 1)]).astype(np.int64)
-    mg, ng = np.meshgrid(ms, ns, indexing="ij")
-    acc = np.full(mg.shape, int(instance.form.coeffs[0]), dtype=np.int64)
-    npow = np.ones(ng.shape, dtype=np.int64)
-    for c in instance.form.coeffs[1:]:
-        npow = npow * ng
-        acc = acc * mg + int(c) * npow
-    return acc.ravel(), ng.ravel()
+    ms = np.arange(-x, x + 1)
+    return forms.form_grid(instance.form, ms, ms[ms != 0]).ravel()
 
 
 def count_Nc(
@@ -524,7 +445,7 @@ def count_Nc(
     """Exact solution count over |m|,|n| <= x, n != 0, via the histogram."""
     if B is not None and abs(B - region.B) > 1e-9 * max(1.0, region.B):
         raise ValueError("region was built for a different scale B")
-    vals, _ = _value_table(instance, x)
+    vals = _value_table(instance, x)
     hist = region.histogram()
     uniq, cnt = np.unique(vals, return_counts=True)
     total = 0
@@ -548,7 +469,7 @@ def localized_Nc(
     shared Monte-Carlo draw whose variance is propagated through the
     weighted sum.
     """
-    vals, _ = _value_table(instance, x)
+    vals = _value_table(instance, x)
     if profile is None:
         profile = DensityProfile.draw(region, mc_samples, seed)
     weights = gamma_many(instance.field, W_powered, vals)

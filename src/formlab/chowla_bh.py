@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arith
 from .errors import ResourceLimitError
-from .forms import BinaryForm, CombinatorialCube, orbit_sum
+from .forms import BinaryForm, CombinatorialCube, form_grid, orbit_sum
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7
@@ -94,7 +94,8 @@ def chowla_statistic(
     if sum(abs(c) for c in form.coeffs) * max(top, 1) ** d >= 2**62:
         raise ResourceLimitError("form values overflow the int64 layer sums")
 
-    lam = sieve.liouville_values(_form_grid(form, top))
+    axis = np.arange(1, top + 1)
+    lam = sieve.liouville_values(form_grid(form, axis, axis))
     layer_sums = np.zeros(top + 1, dtype=np.int64)  # S(n) over the square [1, n]^2
     layer_sums[1:] = lam.cumsum(0, dtype=np.int64).cumsum(1).diagonal()
     x = np.array(xs)
@@ -217,25 +218,16 @@ class BHResult:
         return float(self.cramer / self.series) if self.series > 0 else None
 
 
-def _form_grid(g: BinaryForm, x: int) -> np.ndarray:
-    """g(m, n) for m, n in [1, x] (m down the rows), exact in int64.
-
-    g(m, n) = sum_i c_i m^(d-i) n^i is the product of two Vandermonde
-    matrices; the callers' overflow guards bound every partial sum.
-    """
-    powers = np.arange(1, x + 1, dtype=np.int64)[:, None] ** np.arange(g.degree + 1)
-    return (powers[:, ::-1] * np.array(g.coeffs, dtype=np.int64)) @ powers.T
-
-
 def _value_grids(forms: Sequence[BinaryForm], x: int) -> list[np.ndarray]:
     if x * x > _GRID_BUDGET:
         raise ResourceLimitError("correlation grid exceeds the budget")
+    axis = np.arange(1, x + 1)
     grids = []
     for g in forms:
         worst = sum(abs(c) for c in g.coeffs) * (x**g.degree)
         if worst >= 2**62:
             raise ResourceLimitError("form values overflow the int64 grid")
-        grids.append(_form_grid(g, x))
+        grids.append(form_grid(g, axis, axis))
     return grids
 
 
@@ -301,8 +293,8 @@ def is_irreducible(form: BinaryForm) -> bool:
     if c[0] == 0 or c[-1] == 0:
         return False  # u or v divides
     f = form.dehomogenized()  # ascending, f[0] = c_d != 0, lead = c_0 != 0
-    for num in _divisors_of(abs(f[0])):
-        for den in _divisors_of(abs(f[-1])):
+    for num in arith.divisors(abs(f[0])):
+        for den in arith.divisors(abs(f[-1])):
             if math.gcd(num, den) != 1:
                 continue
             for s in (1, -1):
@@ -310,13 +302,6 @@ def is_irreducible(form: BinaryForm) -> bool:
                 if sum(fc * (s * num) ** i * den ** (d - i) for i, fc in enumerate(f)) == 0:
                     return False
     return True
-
-
-def _divisors_of(n: int) -> list[int]:
-    out = [1]
-    for p, e in arith.factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def bh_admissible(form: BinaryForm, x: int, min_series: Fraction = Fraction(1, 5)) -> bool:

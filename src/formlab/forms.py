@@ -116,6 +116,19 @@ def _form_disc(coeffs: tuple[int, ...]) -> int:
     return _form_disc(coeffs[1:]) * coeffs[1] ** 2
 
 
+def form_grid(g: BinaryForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """g(m, n) for m in ms (rows) and n in ns (columns), in int64.
+
+    g(m, n) = sum_i c_i m^(d-i) n^i is the product of two Vandermonde
+    matrices; exact when the callers' overflow guards bound every
+    sum_i |c_i| |m|^(d-i) |n|^i below 2^63.
+    """
+    expo = np.arange(g.degree + 1)
+    mpow = np.asarray(ms, dtype=np.int64)[:, None] ** expo
+    npow = np.asarray(ns, dtype=np.int64)[:, None] ** expo
+    return (mpow[:, ::-1] * np.array(g.coeffs, dtype=np.int64)) @ npow.T
+
+
 # ---------------------------------------------------------------------------
 # Local counts over P^1(Z/p^k).
 

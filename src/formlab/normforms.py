@@ -85,6 +85,26 @@ def _mp_eval_array(a: MPoly, pts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _mp_eval_mod(a: MPoly, cols: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """Values of a mod q at integer points given as one array per coordinate
+    (broadcast together).
+
+    int64 when q < 2^31, where a product of two residues stays exact;
+    otherwise exact Python integers in object arrays.
+    """
+    dtype = np.int64 if q < 2**31 else object
+    cols = [np.asarray(c, dtype=dtype) % q for c in cols]
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    total = np.zeros(shape, dtype=dtype)
+    for expo, coef in a.items():
+        term = np.full(shape, int(coef) % q, dtype=dtype)
+        for j, e in enumerate(expo):
+            for _ in range(e):
+                term = term * cols[j] % q
+        total = (total + term) % q
+    return total
+
+
 def _mp_eval_int_arrays(a: MPoly, cols: list[np.ndarray]) -> np.ndarray:
     total = np.zeros(cols[0].shape, dtype=np.int64)
     for expo, coef in a.items():
@@ -198,18 +218,11 @@ def _has_rational_root(poly: tuple[int, ...]) -> bool:
     c0 = poly[0]
     if c0 == 0:
         return True
-    for r in _divisors(abs(c0)):
+    for r in arith.divisors(abs(c0)):
         for s in (r, -r):
             if polys.poly_eval([Fraction(c) for c in poly], Fraction(s)) == 0:
                 return True
     return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in arith.factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def field_presets() -> dict[str, NumberField]:
@@ -416,25 +429,12 @@ def norm_residue_counts(field: NumberField, q: int) -> np.ndarray:
         raise ResourceLimitError(f"gamma enumeration budget exceeded at q={q}")
     norm = NormForm(field)
     counts = np.zeros(q, dtype=np.int64)
-    rest_size = q ** (e - 1)
-    rest_cols: list[np.ndarray] = []
-    if e > 1:
-        mesh = np.meshgrid(*([np.arange(q, dtype=np.int64)] * (e - 1)), indexing="ij")
-        rest_cols = [m.ravel() for m in mesh]
+    axes = np.meshgrid(*([np.arange(q, dtype=np.int64)] * e), indexing="ij", sparse=True)
     # chunk the leading coordinate so the working set stays small
-    chunk = max(1, 10**7 // rest_size)
+    chunk = max(1, 10**7 // q ** (e - 1))
     for start in range(0, q, chunk):
-        lead = np.arange(start, min(start + chunk, q), dtype=np.int64)
-        cols = [np.repeat(lead, rest_size)]
-        cols.extend(np.tile(m, len(lead)) for m in rest_cols)
-        vals = np.zeros(cols[0].shape, dtype=np.int64)
-        for expo, coef in norm.poly.items():
-            term = np.full(cols[0].shape, int(coef) % q, dtype=np.int64)
-            for j, ex in enumerate(expo):
-                for _ in range(ex):
-                    term = term * cols[j] % q
-            vals = (vals + term) % q
-        counts += np.bincount(vals, minlength=q)
+        cols = [axes[0][start : start + chunk], *axes[1:]]
+        counts += np.bincount(_mp_eval_mod(norm.poly, cols, q).ravel(), minlength=q)
     return counts
 
 

@@ -70,3 +70,10 @@ def test_brent_rho_on_squares():
     fac = arith.factorize(n)
     assert fac == {10007: 2}
     assert math.prod(p**e for p, e in fac.items()) == n
+
+
+def test_divisors():
+    assert arith.divisors(1) == [1]
+    assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
+    for n in range(1, 300):
+        assert arith.divisors(n) == [k for k in range(1, n + 1) if n % k == 0]

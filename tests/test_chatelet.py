@@ -5,6 +5,7 @@ sigma by full residue enumeration, the p-adic verdicts by exhaustive
 congruence search, two-squares by scanning, counts by double loops.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -226,6 +227,27 @@ def test_padic_content_two_hensel_level(Qi):
     assert (NormForm(Qi)(list(x)) - BinaryForm([2, 0, 2])(*st)) % 8 == 0
 
 
+def test_padic_least_alpha_among_certified_values(Qi):
+    # at 2^5 two common values certify, with alpha 2 and alpha 1; the
+    # verdict takes the least alpha (values from the tuple-list search)
+    for coeffs in ([-1, 0, 1, 0, 0], [0, 0, 1, 0, -1]):
+        v = ch.padic_solvable(inst_of(Qi, coeffs), 2)
+        assert (v.kind, v.alpha, v.level) == ("yes", 1, 5)
+        x, st = v.witness
+        assert (NormForm(Qi)(list(x)) - BinaryForm(coeffs)(*st)) % 2**5 == 0
+
+
+def test_least_points_minimal_valuation_then_least_point():
+    # partial x at p = 2, level 3: v_2 caps to 3 at x = 0, so (0, 2) is the
+    # least point of value 5 but (1, 3) has the least valuation; value 6
+    # ties at valuation 0 and takes the lexicographically least point
+    pts = np.array([[0, 2], [2, 0], [1, 3], [3, 1], [1, 5], [4, 4]])
+    vals = np.array([5, 5, 5, 6, 6, 7])
+    grad, wit = ch._least_points(pts, vals, [{(1, 0): 1}], 2, 3, np.array([5, 6]))
+    assert grad.tolist() == [0, 0]
+    assert wit.tolist() == [[1, 3], [1, 5]]
+
+
 def test_padic_unknown_at_precision_one(Qi):
     v = ch.padic_solvable(inst_of(Qi, [3, 0, 3]), 3, max_precision=1)
     assert v.kind == "unknown"
@@ -287,7 +309,54 @@ def test_padic_good_prime_fast_path_is_sound(Qi, fields):
 
 def test_padic_frontier_budget():
     with pytest.raises(ResourceLimitError):
-        ch._lift_members({(1, 0): 1}, [(0, 0)] * 70000, 2, 2, 1)
+        ch._lift({(1, 0): 1}, np.zeros((70000, 2), dtype=np.int64), 2, 1)
+
+
+@pytest.mark.parametrize("p, level", [(23, 6), (241, 7)])
+def test_lift_exact_at_big_moduli(p, level):
+    # p^(level+1) is past 2^31 (object values) and, for 241^8, past 2^63
+    # (object points); children and values against Python integers
+    poly = {(3, 0): 7, (1, 2): -5, (0, 3): 2**40 + 1, (0, 0): -3}
+    parents = np.array([[1, p**level - 1], [p**level - 2, 5]], dtype=np.int64)
+    parents = parents[: ch._FRONTIER_CAP // p**2]  # one parent at p = 241
+    pts, vals = ch._lift(poly, parents, p, level)
+    q = p ** (level + 1)
+    want = [
+        (a + i * p**level, b + j * p**level)
+        for a, b in parents.tolist()
+        for i in range(p)
+        for j in range(p)
+    ]
+    assert [tuple(map(int, pt)) for pt in pts] == want
+    assert [int(v) for v in vals] == [
+        (7 * s**3 - 5 * s * t * t + (2**40 + 1) * t**3 - 3) % q for s, t in want
+    ]
+
+
+def padic_verdict_table() -> list[tuple]:
+    """(field, coeffs, p, kind, alpha, level) over small forms, with budget
+    raises recorded as "budget"."""
+    fields = field_presets()
+    rows = []
+    for name, d, c in (("gaussian", 2, 3), ("sqrt2", 2, 3), ("cbrt2", 3, 1)):
+        for coeffs in itertools.product(range(-c, c + 1), repeat=d + 1):
+            inst = inst_of(fields[name], coeffs)
+            for p in sorted({2, 3, 5, 7} | {p for p in inst.bad_primes() if p < 60}):
+                try:
+                    v = ch.padic_solvable(inst, p)
+                    rows.append((name, coeffs, p, v.kind, v.alpha, v.level))
+                except ResourceLimitError:
+                    rows.append((name, coeffs, p, "budget", None, None))
+    return rows
+
+
+def test_padic_verdict_table_pinned():
+    # 3,196 verdicts (3,141 yes, 35 no, 12 unknown, 8 budget), digest taken
+    # from the tuple-list implementation that preceded the array search
+    rows = padic_verdict_table()
+    assert len(rows) == 3196
+    digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+    assert digest == "458fcff274962278970b0642792a26881c5c1e887cd11e1b7be2a5f57c3f50b4"
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +602,7 @@ def test_default_B_convention(Qi):
 def test_localized_pure_archimedean(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
     prof = DensityProfile.draw(region40, 20000, 5)
-    vals, _ = ch._value_table(inst, 40)
+    vals = ch._value_table(inst, 40)
     est, err = ch.localized_Nc(inst, 40, region40, 1, profile=prof)
     ref, referr = prof.aggregate(vals.astype(np.float64), np.ones(len(vals)))
     assert est == ref and err == referr

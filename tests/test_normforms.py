@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import arith, normforms as nf
 from formlab.errors import ConfigError, IndexDivisorError, ResourceLimitError
@@ -376,6 +378,42 @@ def test_gamma_many_matches_scalar(presets):
     for r, o in zip(res, outs):
         assert o == pytest.approx(float(nf.gamma_density(gi, 60, int(r))))
     assert nf.gamma_many(gi, 1, res).tolist() == [1.0] * len(res)
+
+
+_NORM_POLYS = [
+    poly
+    for name in ("gaussian", "sqrt2", "cbrt2")
+    for norm in [nf.NormForm(nf.field_presets()[name])]
+    for poly in (norm.poly, *norm.partials)
+]
+
+
+@st.composite
+def _poly_and_points(draw):
+    if draw(st.booleans()):
+        poly = draw(st.sampled_from(_NORM_POLYS))
+    else:  # a binary form c0 u^d + ... + cd v^d, big coefficients allowed
+        cs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=6))
+        poly = {(len(cs) - 1 - i, i): c for i, c in enumerate(cs) if c != 0}
+    nvars = len(next(iter(poly))) if poly else 2
+    coord = st.integers(-(2**62), 2**62)
+    pts = draw(st.lists(st.tuples(*[coord] * nvars), min_size=1, max_size=20))
+    return poly, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_poly_and_points(),
+    q=st.sampled_from([2, 7, 2**20 + 7, 2**31 - 1, 2**31, 23**7, 11**9, 2**64 + 13]),
+)
+def test_mp_eval_mod_matches_scalar(case, q):
+    # int64 below 2^31, exact object arrays from 2^31 on; either way the
+    # values equal the exact scalar evaluation reduced mod q
+    poly, pts = case
+    cols = [np.array(c, dtype=np.int64) for c in zip(*pts)]
+    got = nf._mp_eval_mod(poly, cols, q)
+    assert got.dtype == (np.int64 if q < 2**31 else object)
+    assert [int(v) for v in got] == [nf._mp_eval(poly, pt) % q for pt in pts]
 
 
 def test_gamma_budget(presets):
