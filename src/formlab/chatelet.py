@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import arith, forms, normforms, polys
+from . import arith, forms, polys
 from .errors import ResourceLimitError
 from .forms import BinaryForm
 from .normforms import (
@@ -319,43 +319,6 @@ def sigma_pp(instance: ChateletInstance, p: int, k: int) -> Fraction:
     return Fraction(joint, q ** (e + 1))
 
 
-def w0_primes(instance: ChateletInstance, m_dk: int) -> tuple[int, ...]:
-    """Primes below the field threshold plus all content divisors."""
-    ps = set(arith.primes(m_dk))
-    c = instance.content
-    if c > 0:
-        ps.update(arith.factorize(c))
-    return tuple(sorted(ps))
-
-
-@dataclass(frozen=True)
-class LocalDensityData:
-    h_c: int
-    w0_factors: tuple[tuple[int, int], ...]  # (p, exponent)
-    w1_factors: tuple[tuple[int, int], ...]
-    p_c: tuple[int, ...]
-    sigma_w0: Fraction
-    c_c: Fraction
-
-    @property
-    def W0(self) -> int:
-        out = 1
-        for p, k in self.w0_factors:
-            out *= p**k
-        return out
-
-    @property
-    def W1(self) -> int:
-        out = 1
-        for p, k in self.w1_factors:
-            out *= p**k
-        return out
-
-    @property
-    def W_powered(self) -> int:
-        return self.W0 * self.W1
-
-
 def sigma_mod(instance: ChateletInstance, q: int) -> Fraction:
     """Density of N_K(x) = g(s,t) mod q over all of (Z/q)^(e+2), any q >= 1."""
     if q < 1:
@@ -370,43 +333,16 @@ def sigma_mod(instance: ChateletInstance, q: int) -> Fraction:
     return Fraction(int(np.dot(cnt_n, cnt_g)), q ** (e + 1))
 
 
-def local_density_data(
-    instance: ChateletInstance,
-    m_dk: int = DESK_M,
-    w_desk: int = DESK_W,
-    k_desk: int = DESK_K,
-) -> LocalDensityData:
-    """The split modulus W0*W1, the first-power prime set, and densities."""
-    if min(m_dk, w_desk, k_desk) < 1:
-        raise ValueError("desk parameters must be positive")
-    if instance.form.is_zero:
-        raise ValueError("the zero form has no local density data")
-    w0 = w0_primes(instance, m_dk)
-    h_c = instance.content
-    w1 = tuple(p for p in arith.primes(w_desk) if p > m_dk and h_c % p != 0)
+def sigma_w0(instance: ChateletInstance, m_dk: int, k_desk: int) -> Fraction:
+    """Product of sigma_pp(p, k_desk) over the W0 primes: the primes up to
+    m_dk and every prime dividing the content."""
+    ps = set(arith.primes(m_dk))
+    if instance.content > 0:
+        ps.update(arith.factorize(instance.content))
     sigma = Fraction(1)
-    for p in w0:
+    for p in sorted(ps):
         sigma *= sigma_pp(instance, p, k_desk)
-    c_c = Fraction(1)
-    for p in w1:
-        c_c *= normforms.DedekindLocal.build(instance.field, p).alpha()
-    return LocalDensityData(
-        h_c=h_c,
-        w0_factors=tuple((p, k_desk) for p in w0),
-        w1_factors=tuple((p, k_desk) for p in w1),
-        p_c=w1,
-        sigma_w0=sigma,
-        c_c=c_c,
-    )
-
-
-def sigma_W0(
-    instance: ChateletInstance,
-    m_dk: int = DESK_M,
-    w_desk: int = DESK_W,
-    k_desk: int = DESK_K,
-) -> Fraction:
-    return local_density_data(instance, m_dk, w_desk, k_desk).sigma_w0
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +395,15 @@ def localized_Nc(
     x: int,
     region: RegionB,
     W_powered: int,
-    mc_samples: int = 20000,
-    seed: int = 0,
-    profile: Optional[DensityProfile] = None,
+    profile: DensityProfile,
 ) -> tuple[float, float]:
     """Model count: sum of gamma(W, g(m,n)) * omega_hat(g(m,n)).
 
-    The gamma weight is exact per residue class; omega_hat comes from one
-    shared Monte-Carlo draw whose variance is propagated through the
-    weighted sum.
+    The gamma weight is exact per residue class; omega_hat comes from the
+    run's shared Monte-Carlo draw of `region` (a DensityProfile), whose
+    variance is propagated through the weighted sum.
     """
     vals = _value_table(instance, x)
-    if profile is None:
-        profile = DensityProfile.draw(region, mc_samples, seed)
     weights = gamma_many(instance.field, W_powered, vals)
     return profile.aggregate(vals.astype(np.float64), weights)
 
@@ -626,20 +558,6 @@ def search_rational_point(
 _CLASSES = ("not-in-S", "locally-obstructed", "rational-point-found", "unknown")
 
 
-@dataclass(frozen=True)
-class HasseSample:
-    index: int
-    coeffs: tuple[int, ...]
-    klass: str
-    witness: Optional[tuple]
-    padic: tuple[tuple[int, str], ...]  # (prime, verdict kind or yes(alpha))
-    obstruction: Optional[str]
-    Nc: Optional[int]
-    Nc_hat: Optional[float]
-    Nc_err: Optional[float]
-    sigma_w0: Optional[float]
-
-
 def tested_primes(instance: ChateletInstance, prime_cutoff: int) -> tuple[int, ...]:
     ps = set(arith.primes(prime_cutoff))
     ps.update(instance.bad_primes())
@@ -676,51 +594,3 @@ def classify_coeffs(
         x, m, n = witness
         return "rational-point-found", (x, m, n), verdicts, None
     return "unknown", None, verdicts, None
-
-
-def hasse_sample(
-    field: NumberField,
-    cube: forms.CombinatorialCube,
-    H: int,
-    seed: int,
-    index: int,
-    height_bound: int,
-    prime_cutoff: int,
-    region: RegionB,
-    profile: DensityProfile,
-    x_count: int,
-    m_dk: int,
-    w_desk: int,
-    k_desk: int,
-    time_budget: int = 10**7,
-) -> HasseSample:
-    """Classification plus counting data for one sampled coefficient vector.
-
-    Pure in (seed, index) given the shared read-only region and profile.
-    """
-    form = cube.sample(seed, index)
-    klass, witness, verdicts, obstruction = classify_coeffs(
-        field, form.coeffs, H, height_bound, prime_cutoff, time_budget
-    )
-    Nc = Nc_hat = Nc_err = sigma = None
-    if klass != "not-in-S":
-        inst = ChateletInstance(field=field, form=form)
-        data = local_density_data(inst, m_dk, w_desk, k_desk)
-        Nc = count_Nc(inst, x_count, region)
-        est, err = localized_Nc(
-            inst, x_count, region, model_W(w_desk, k_desk), profile=profile
-        )
-        Nc_hat, Nc_err = float(est), float(err)
-        sigma = float(data.sigma_w0)
-    return HasseSample(
-        index=index,
-        coeffs=form.coeffs,
-        klass=klass,
-        witness=witness,
-        padic=tuple(verdicts),
-        obstruction=obstruction,
-        Nc=Nc,
-        Nc_hat=Nc_hat,
-        Nc_err=Nc_err,
-        sigma_w0=sigma,
-    )

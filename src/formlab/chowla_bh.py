@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import arith
+from . import arith, polys
 from .errors import ResourceLimitError
 from .forms import BinaryForm, CombinatorialCube, form_grid, orbit_sum
 from .sieve import SieveTable
@@ -109,19 +109,6 @@ def chowla_statistic(
         statistic=max(vals),
         trace=tuple(zip(xs, vals)),
     )
-
-
-def chowla_sample(
-    cube: CombinatorialCube,
-    scale: int,
-    exponent: float,
-    seed: int,
-    index: int,
-    sieve: SieveTable,
-    grid_size=16,
-) -> ChowlaStat:
-    """Statistic of the index-th sampled form (pure in (seed, index))."""
-    return chowla_statistic(cube.sample(seed, index), scale, exponent, sieve, grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +277,10 @@ def is_irreducible(form: BinaryForm) -> bool:
     c = form.coeffs
     if d == 1:
         return True
-    if c[0] == 0 or c[-1] == 0:
-        return False  # u or v divides
-    f = form.dehomogenized()  # ascending, f[0] = c_d != 0, lead = c_0 != 0
-    for num in arith.divisors(abs(f[0])):
-        for den in arith.divisors(abs(f[-1])):
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (1, -1):
-                # root num*s/den iff sum f_i (num s)^i den^(d-i) = 0
-                if sum(fc * (s * num) ** i * den ** (d - i) for i, fc in enumerate(f)) == 0:
-                    return False
-    return True
+    if c[0] == 0:
+        return False  # v divides
+    # a linear factor is a rational root of g(t, 1); t = 0 when u divides
+    return not polys.has_rational_root(form.dehomogenized())
 
 
 def bh_admissible(form: BinaryForm, x: int, min_series: Fraction = Fraction(1, 5)) -> bool:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__, harness
 from . import sieve as sieve_mod
@@ -68,25 +67,7 @@ def _collect_settings(args: argparse.Namespace) -> dict:
 def _run_experiment(args: argparse.Namespace) -> int:
     cfg = harness.make_config(args.command, _collect_settings(args))
     manifest = harness.run(cfg)
-    out = Path(manifest.out_dir)
-    if cfg.kind == "verify":
-        failed = 0
-        for line in (out / "results.jsonl").read_text().splitlines():
-            rec = json.loads(line)
-            mark = "ok  " if rec["ok"] else "FAIL"
-            print(f"{mark} {rec['suite']}/{rec['name']}: {rec['detail']}")
-            failed += 0 if rec["ok"] else 1
-        total = manifest.records
-        print(f"{total - failed}/{total} checks passed")
-        return 3 if failed else 0
-    desk = harness.desk_fields(cfg.kind)
-    if desk:
-        # desk choices, not derived values
-        print(" ".join(f"{name}={getattr(cfg, name)}" for name in desk))
-    print(f"results: {out / 'results.jsonl'} ({manifest.records} records)")
-    print(f"summary: {out / 'summary.csv'}")
-    print(f"manifest: {out / 'manifest.json'}")
-    return 0
+    return harness.PROTOCOLS[cfg.kind].report(cfg, manifest)
 
 
 def main(argv=None) -> int:

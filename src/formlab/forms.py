@@ -216,31 +216,6 @@ def zero_count_mod(form: BinaryForm, q: int) -> int:
     return math.prod(orbit_sum(form.coeffs, p, k) for p, k in arith.factorize(q).items())
 
 
-def zero_count_prime_power(form: BinaryForm, p: int, k: int) -> int:
-    """#{(u,v) mod p^k : g = 0 mod p^k} as an orbit sum.
-
-    The p-part p^sigma of the content is pulled out first
-    (g = p^sigma h gives p^(2 sigma) times h's count mod p^(k-sigma)), so
-    the budget applies to p^(k-sigma).
-    """
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if k == 0:
-        return 1
-    if form.is_zero:
-        return p ** (2 * k)
-    sigma = 0
-    coeffs = list(form.coeffs)
-    while all(c % p == 0 for c in coeffs):
-        coeffs = [c // p for c in coeffs]
-        sigma += 1
-    if sigma >= k:
-        return p ** (2 * k)
-    if p ** (k - sigma) > 10**6:
-        raise ResourceLimitError("prime power exceeds the orbit-sum budget")
-    return p ** (2 * sigma) * orbit_sum(coeffs, p, k - sigma)
-
-
 def zero_count_mod_batch(coeff_rows: np.ndarray, q: int) -> np.ndarray:
     """zero_count_mod for many forms of one degree at once.
 

@@ -2,8 +2,9 @@
 
 Each experiment kind is one `Protocol` in `PROTOCOLS`: the config fields
 it reads with their defaults, its validation, its shared state, its
-per-index record, its summary rows and its CLI help.  Config coercion,
-the CLI flags and the summaries are derived from that registry.
+per-index record, its summary rows, its CLI help and what its CLI run
+prints.  Config coercion, the CLI flags and the summaries are derived
+from that registry.
 
 Every sample record is a pure function of (config, index).  The pool maps
 over indices and the single writer emits canonical JSON in index order,
@@ -189,8 +190,8 @@ def _chowla_state(cfg: ExperimentConfig) -> dict:
 
 
 def _chowla_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
-    stat = chowla_bh.chowla_sample(
-        state["cube"], cfg.H, cfg.c, cfg.seed, i, state["sieve"], cfg.grid
+    stat = chowla_bh.chowla_statistic(
+        state["cube"].sample(cfg.seed, i), cfg.H, cfg.c, state["sieve"], cfg.grid
     )
     return {
         "record": "sample",
@@ -310,30 +311,39 @@ def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
     }
 
 
+def _counts(cfg: ExperimentConfig, state: dict, inst: chatelet.ChateletInstance):
+    """(Nc, Nc_hat, Nc_err): the exact count and its localized model."""
+    nc = chatelet.count_Nc(inst, cfg.x, state["region"])
+    est, err = chatelet.localized_Nc(inst, cfg.x, state["region"], state["W"], state["profile"])
+    return nc, float(est), float(err)
+
+
 def _hasse_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
-    s = chatelet.hasse_sample(
-        state["field"], state["cube"], cfg.H, cfg.seed, i, cfg.height, cfg.primes,
-        state["region"], state["profile"], cfg.x, cfg.m_dk, cfg.w_desk, cfg.k_desk,
+    form = state["cube"].sample(cfg.seed, i)
+    klass, witness, verdicts, obstruction = chatelet.classify_coeffs(
+        state["field"], form.coeffs, cfg.H, cfg.height, cfg.primes
     )
-    witness = None
-    if s.witness is not None:
-        x, m, n = s.witness
+    nc = nc_hat = nc_err = sigma = stat = None
+    if klass != "not-in-S":
+        inst = chatelet.ChateletInstance(field=state["field"], form=form)
+        sigma = float(chatelet.sigma_w0(inst, cfg.m_dk, cfg.k_desk))
+        nc, nc_hat, nc_err = _counts(cfg, state, inst)
+        stat = nc * math.log(cfg.H) ** 2 / cfg.x**2
+    if witness is not None:
+        x, m, n = witness
         witness = [list(x), m, n]
-    stat = None
-    if s.Nc is not None:
-        stat = s.Nc * math.log(cfg.H) ** 2 / cfg.x**2
     return {
         "record": "sample",
         "index": i,
-        "coeffs": list(s.coeffs),
-        "class": s.klass,
+        "coeffs": list(form.coeffs),
+        "class": klass,
         "witness": witness,
-        "padic": {str(p): v for p, v in s.padic},
-        "obstruction": s.obstruction,
-        "Nc": s.Nc,
-        "Nc_hat": s.Nc_hat,
-        "Nc_err": s.Nc_err,
-        "sigma_W0": s.sigma_w0,
+        "padic": {str(p): v for p, v in verdicts},
+        "obstruction": obstruction,
+        "Nc": nc,
+        "Nc_hat": nc_hat,
+        "Nc_err": nc_err,
+        "sigma_W0": sigma,
         "statistic": stat,
         "H": cfg.H,
     }
@@ -381,18 +391,15 @@ def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
     idx = chowla_bh.accepted_draw_index(state["cube"], cfg.seed, k, _edges_nonzero)
     form = state["cube"].sample(cfg.seed, idx)
     inst = chatelet.ChateletInstance(field=state["field"], form=form)
-    region = state["region"]
-    nc = chatelet.count_Nc(inst, cfg.x, region)
-    est, err = chatelet.localized_Nc(inst, cfg.x, region, state["W"], profile=state["profile"])
-    err = float(err)
-    gap = abs(nc - float(est))
+    nc, est, err = _counts(cfg, state, inst)
+    gap = abs(nc - est)
     return {
         "record": "instance",
         "index": idx,
         "draw": k,
         "coeffs": list(form.coeffs),
         "Nc": nc,
-        "Nc_hat": float(est),
+        "Nc_hat": est,
         "Nc_err": err,
         "within": bool(gap <= 3.0 * err),
         "statistic": gap / err if err > 0 else (0.0 if gap == 0 else None),
@@ -459,6 +466,31 @@ def _verify_summary(records: list[dict]) -> list[tuple]:
     return [("checks", len(checks)), ("failed", sum(1 for r in checks if not r["ok"]))]
 
 
+def _verify_report(cfg: ExperimentConfig, manifest: "RunManifest") -> int:
+    """One line per check and the pass count; exit code 3 when any failed."""
+    failed = 0
+    for line in (Path(manifest.out_dir) / "results.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        mark = "ok  " if rec["ok"] else "FAIL"
+        print(f"{mark} {rec['suite']}/{rec['name']}: {rec['detail']}")
+        failed += 0 if rec["ok"] else 1
+    print(f"{manifest.records - failed}/{manifest.records} checks passed")
+    return 3 if failed else 0
+
+
+def _report_paths(cfg: ExperimentConfig, manifest: "RunManifest") -> int:
+    """The desk banner, when the kind reads desk fields, and the output files."""
+    desk = desk_fields(cfg.kind)
+    if desk:
+        # desk choices, not derived values
+        print(" ".join(f"{name}={getattr(cfg, name)}" for name in desk))
+    out = Path(manifest.out_dir)
+    print(f"results: {out / 'results.jsonl'} ({manifest.records} records)")
+    print(f"summary: {out / 'summary.csv'}")
+    print(f"manifest: {out / 'manifest.json'}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # The registry.
 
@@ -471,7 +503,9 @@ class Protocol:
     it.  `defaults` override ExperimentConfig's defaults for this kind.
     A run writes the `prefix` rows, then `record(cfg, state, i)` for
     i < `count(cfg)`; `state` is `build_state(cfg)`, built once per run.
-    `summary` maps the records to the kind's summary.csv rows.
+    `summary` maps the records to the kind's summary.csv rows.  After a
+    CLI run, `report(cfg, manifest)` prints to stdout and returns the exit
+    code.
     """
 
     help: str
@@ -483,6 +517,7 @@ class Protocol:
     summary: Callable[[list[dict]], list[tuple]]
     prefix: Callable[[ExperimentConfig, dict], list[dict]] = lambda cfg, state: []
     count: Callable[[ExperimentConfig], int] = lambda cfg: cfg.samples
+    report: Callable[[ExperimentConfig, "RunManifest"], int] = _report_paths
     flag_help: dict = dataclasses.field(default_factory=dict)
 
 
@@ -538,6 +573,7 @@ PROTOCOLS: dict[str, Protocol] = {
         summary=_verify_summary,
         prefix=_verify_prefix,
         count=lambda cfg: 0,
+        report=_verify_report,
         flag_help={"suite": f"one of {', '.join(SUITES)}"},
     ),
 }

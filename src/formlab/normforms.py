@@ -173,7 +173,7 @@ class NumberField:
             raise ValueError("field degree must be at least 2")
         if poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        if _has_rational_root(poly):
+        if polys.has_rational_root(poly):
             raise ValueError("defining polynomial has a rational root")
         if polys.discriminant(list(poly)) == 0:
             raise ValueError("defining polynomial is not separable")
@@ -211,18 +211,6 @@ class NumberField:
             raise ConfigError("only power-basis field files are supported")
         sig = tuple(data["signature"]) if "signature" in data else None
         return cls.power_basis(data["poly"], index=data.get("index"), signature=sig, name=name)
-
-
-def _has_rational_root(poly: tuple[int, ...]) -> bool:
-    # candidates num/den with num | poly[0], den | lead; monic -> integer roots
-    c0 = poly[0]
-    if c0 == 0:
-        return True
-    for r in arith.divisors(abs(c0)):
-        for s in (r, -r):
-            if polys.poly_eval([Fraction(c) for c in poly], Fraction(s)) == 0:
-                return True
-    return False
 
 
 def field_presets() -> dict[str, NumberField]:

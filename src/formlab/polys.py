@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import arith
+
 
 def trim(f: Sequence) -> list:
     f = list(f)
@@ -114,6 +116,25 @@ def clear_denominators(f: Sequence) -> list:
     for c in f:
         den = den * c.denominator // math.gcd(den, c.denominator)
     return int_primitive([int(c * den) for c in f])
+
+
+def has_rational_root(f: Sequence[int]) -> bool:
+    """Does the integer polynomial f vanish at some rational t?  (The zero
+    polynomial does.)  A root num/den in lowest terms has num | f(0) and
+    den | lead; it is a root iff sum f_i num^i den^(d-i) = 0, an integer test.
+    """
+    f = trim(f)
+    if not f or f[0] == 0:
+        return True
+    d = len(f) - 1
+    for num in arith.divisors(abs(f[0])):
+        for den in arith.divisors(abs(f[-1])):
+            if math.gcd(num, den) != 1:
+                continue
+            for s in (1, -1):
+                if sum(c * (s * num) ** i * den ** (d - i) for i, c in enumerate(f)) == 0:
+                    return True
+    return False
 
 
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:

@@ -2,9 +2,9 @@
 
 A SieveTable answers factor / lambda / mu / Lambda / tau_B queries
 exactly for 1 <= n <= bound in O(log n) per query from one uint32 spf
-array (four bytes per entry); beyond the bound, factor trial-divides by
-the table's primes and finishes with deterministic Miller-Rabin and
-Pollard rho.  Bulk lambda and mu tables cover the statistic pipelines.
+array (four bytes per entry); beyond the bound, factor is
+arith.factorize (Miller-Rabin and Pollard-Brent rho).  Bulk lambda and
+mu tables cover the statistic pipelines.
 
 mangoldt_values is one vectorized layer for every magnitude.  It finds
 the p with |n| = p^k over the sorted unique magnitudes: n <= bound is
@@ -115,33 +115,18 @@ class SieveTable:
         """Prime factorization of n >= 1."""
         if n < 1:
             raise ValueError("factor requires n >= 1")
-        if n == 1:
-            return {}
+        if n > self.bound:
+            return arith.factorize(n)
         out: dict[int, int] = {}
-        if n <= self.bound:
-            spf = self._spf
-            while n > 1:
-                p = int(spf[n])
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-            return dict(sorted(out.items()))
-        m = n
-        for p in self.primes():
-            if p * p > m:
-                break
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        if m > 1:
-            if arith.is_prime(m):
-                out[m] = out.get(m, 0) + 1
-            else:
-                for p, e in arith.factorize(m).items():
-                    out[p] = out.get(p, 0) + e
-        return dict(sorted(out.items()))
+        spf = self._spf
+        while n > 1:  # smallest prime factor first: the keys come out ascending
+            p = int(spf[n])
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        return out
 
     def big_omega(self, n: int) -> int:
         if n == 0:

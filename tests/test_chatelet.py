@@ -20,6 +20,7 @@ from formlab import arith, chatelet as ch, forms, harness
 from formlab.errors import ResourceLimitError
 from formlab.forms import BinaryForm
 from formlab.normforms import (
+    DedekindLocal,
     DensityProfile,
     NormForm,
     RegionB,
@@ -446,35 +447,27 @@ def test_sigma_budget_guard(Qi):
         ch.sigma_mod(inst_of(Qi, [1, 0, 1]), 10007 * 3)
 
 
-def test_sigma_W0_examples(Qi):
+def test_sigma_w0_examples(Qi):
     inst = inst_of(Qi, [1, 0, 1])
     # only p=2 below the threshold, no content primes
-    assert ch.sigma_W0(inst, m_dk=2, w_desk=7, k_desk=1) == Fraction(1)
+    assert ch.sigma_w0(inst, m_dk=2, k_desk=1) == Fraction(1)
     # empty W0 entirely
-    assert ch.sigma_W0(inst, m_dk=1, w_desk=7, k_desk=1) == Fraction(1)
+    assert ch.sigma_w0(inst, m_dk=1, k_desk=1) == Fraction(1)
 
 
-def test_local_density_data_fields(Qi):
+def test_sigma_w0_primes_and_product(Qi):
     inst = inst_of(Qi, [6, 0, 6])
-    data = ch.local_density_data(inst, m_dk=3, w_desk=11, k_desk=2)
-    assert data.h_c == 6
+    assert inst.content == 6
     # W0 primes: {2,3} below threshold, content adds nothing new
-    assert [p for p, _ in data.w0_factors] == [2, 3]
-    assert all(k == 2 for _, k in data.w0_factors)
-    # W1 = primes in (3, 11] coprime to the content
-    assert data.p_c == (5, 7, 11)
-    assert data.W_powered == data.W0 * data.W1
-    w0p = {p for p, _ in data.w0_factors}
-    w1p = {p for p, _ in data.w1_factors}
-    assert not (w0p & w1p)
-    assert 0 <= data.sigma_w0 <= data.W0
-    expect = Fraction(1)
-    for p in (5, 7, 11):
-        expect *= ch.normforms.DedekindLocal.build(Qi, p).alpha()
-    assert data.c_c == expect
-    assert ch.local_density_data(inst, 3, 11, 2).sigma_w0 == ch.sigma_pp(
-        inst, 2, 2
-    ) * ch.sigma_pp(inst, 3, 2)
+    sigma = ch.sigma_w0(inst, m_dk=3, k_desk=2)
+    assert sigma == ch.sigma_pp(inst, 2, 2) * ch.sigma_pp(inst, 3, 2)
+    assert 0 <= sigma <= 2**2 * 3**2
+    # a content prime above the threshold joins W0
+    inst = inst_of(Qi, [10, 0, 10])
+    assert ch.sigma_w0(inst, m_dk=3, k_desk=2) == (
+        ch.sigma_pp(inst, 2, 2) * ch.sigma_pp(inst, 3, 2) * ch.sigma_pp(inst, 5, 2)
+    )
+    assert ch.sigma_pp(inst, 5, 2) != 1
 
 
 def test_hensel_lower_bound_for_certified_yes(Qi):
@@ -503,9 +496,8 @@ def test_hensel_lower_bound_for_certified_yes(Qi):
 
 def _local_factor(field, form, p, k_desk):
     """alpha_p * xi_p, xi_p = 1 + sum_j b(p^j) #{g = 0 mod p^j} / p^(2j), j <= k e."""
-    loc = ch.normforms.DedekindLocal.build(field, p)
-    xi = 1 + sum(loc.b(j, k_desk) * Fraction(forms.zero_count_prime_power(form, p, j),
-                                             p ** (2 * j))
+    loc = DedekindLocal.build(field, p)
+    xi = 1 + sum(loc.b(j, k_desk) * Fraction(forms.zero_count_mod(form, p**j), p ** (2 * j))
                  for j in range(1, k_desk * field.degree + 1))
     return loc.alpha() * xi
 
@@ -523,7 +515,7 @@ def test_euler_product_exact_worked_value(Qi):
 def test_euler_product_unit_xi_at_two(Qi):
     # b(2^j) vanishes for Q(i) (beta = alpha there), so xi_2 = 1 and the
     # local factor collapses to alpha_2 = 1
-    loc = ch.normforms.DedekindLocal.build(Qi, 2)
+    loc = DedekindLocal.build(Qi, 2)
     assert loc.b(1, 1) == 0 and loc.b(2, 1) == 0
     assert _local_factor(Qi, BinaryForm([1, 1, 1]), 2, 1) == 1
 
@@ -610,9 +602,9 @@ def test_localized_pure_archimedean(Qi, region40):
 
 def test_localized_deterministic_given_seed(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
-    a = ch.localized_Nc(inst, 40, region40, 30, mc_samples=5000, seed=9)
-    b = ch.localized_Nc(inst, 40, region40, 30, mc_samples=5000, seed=9)
-    c = ch.localized_Nc(inst, 40, region40, 30, mc_samples=5000, seed=10)
+    a = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 9))
+    b = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 9))
+    c = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 10))
     assert a == b
     assert a != c
 

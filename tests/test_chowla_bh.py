@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formlab import harness
@@ -22,7 +22,6 @@ from formlab.chowla_bh import (
     accepted_draw_index,
     bh_admissible,
     bh_correlation,
-    chowla_sample,
     chowla_statistic,
     exponent_cap,
     is_irreducible,
@@ -196,7 +195,8 @@ def test_chowla_experiment_aggregation(tmp_path, sieve_small):
                                                "seed": 5, "out": str(out)}))
     recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     cube = CombinatorialCube(degree=2, side=100)
-    stats = [chowla_sample(cube, 100, 0.13, 5, i, sieve_small).statistic for i in range(8)]
+    stats = [chowla_statistic(cube.sample(5, i), 100, 0.13, sieve_small).statistic
+             for i in range(8)]
     assert [r["statistic"] for r in recs] == stats
     rows = dict(line.split(",", 1)
                 for line in (out / "summary.csv").read_text().splitlines()[1:])
@@ -415,6 +415,30 @@ def test_is_irreducible_matches_sympy():
             continue
         poly = sympy.Poly(sum(c * t ** (d - i) for i, c in enumerate(coeffs)), t, domain="QQ")
         assert is_irreducible(BinaryForm(coeffs)) == poly.is_irreducible
+
+
+_U, _V = sympy.symbols("u v")
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.integers(-12, 12), min_size=d + 1, max_size=d + 1)))
+@example(coeffs=[0, 0, 0])  # the zero form
+@example(coeffs=[0, 0])
+@example(coeffs=[0, 1, 1, 1])  # c0 = 0: v divides, u^2 + uv + v^2 cofactor
+@example(coeffs=[1, 1, 1, 0])  # c_d = 0: u divides
+@example(coeffs=[0, 5])  # d = 1 with c0 = 0
+@example(coeffs=[4, 0, -9])  # (2u - 3v)(2u + 3v): roots 3/2 and -3/2
+@example(coeffs=[6, 0, 0, 10])  # content 2, irreducible cubic
+def test_is_irreducible_matches_sympy_factor_list(coeffs):
+    d = len(coeffs) - 1
+    g = sum(c * _U ** (d - i) * _V**i for i, c in enumerate(coeffs))
+    if g == 0:
+        want = False
+    else:
+        _, factors = sympy.factor_list(g, _U, _V)
+        want = len(factors) == 1 and factors[0][1] == 1
+    assert is_irreducible(BinaryForm(coeffs)) == want
 
 
 def test_bh_admissible():

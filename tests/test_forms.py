@@ -156,7 +156,7 @@ def test_fast_path_worked():
     assert forms.orbit_sum((1, 0, 1), 2, 3) == oracle_zero_count((1, 0, 1), 8)  # k > d
     # u*v vanishes mod p exactly on the two axes: 2p - 1 pairs, at a p whose
     # p^2 grid exceeds 10^7 but whose orbit sum has only p + 1 points
-    assert forms.zero_count_prime_power(BinaryForm([0, 1, 0]), 3163, 1) == 2 * 3163 - 1
+    assert forms.zero_count_mod(BinaryForm([0, 1, 0]), 3163) == 2 * 3163 - 1
     # a unit-invariant weight: residue counts of u^2 + v^2 mod 5
     cnt = np.bincount([(u * u + v * v) % 5 for u in range(5) for v in range(5)], minlength=5)
     want = sum(int(cnt[oracle_eval((1, 2, 2), s, t) % 5]) for s in range(5) for t in range(5))
@@ -209,7 +209,6 @@ def test_orbit_sum_zero_counts_match_oracle(coeffs, pk, scale):
     if len(cs) > 1:  # a BinaryForm has degree >= 1
         g = BinaryForm(cs)
         assert forms.zero_count_mod(g, p**k) == want
-        assert forms.zero_count_prime_power(g, p, k) == want
 
 
 def test_orbit_sum_uncached_monomials(monkeypatch):

@@ -1,6 +1,7 @@
 """Configuration, the runner, persistence, summaries, CLI, and the battery."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -324,6 +325,25 @@ def test_hasse_records_and_summary(tmp_path):
     assert "violations,0" in text
 
 
+# results.jsonl digests of local-count runs off the default desk: the
+# hasse run has W0 primes 2, 3 and primes above m_dk inside w_desk, the
+# density run a squarefree model modulus
+_LOCAL_PINS = {
+    "hasse": ({"samples": 40, "m_dk": 3, "w_desk": 11, "k_desk": 2},
+              "16345524028b1b14344ee5fdd2d45cd8c7278f980ab5fc72c7f72cbbe8f6de36"),
+    "density": ({"samples": 20, "w_desk": 5, "k_desk": 1},
+                "6a5d6161f8d14b795f4f4da77c8cc8cf2de16402ef36286124a07541c8418177"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOCAL_PINS))
+def test_local_records_pinned(tmp_path, kind):
+    settings, digest = _LOCAL_PINS[kind]
+    man = harness.run(harness.make_config(kind, {**settings, "out": str(tmp_path)}))
+    data = (Path(man.out_dir) / "results.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_density_run_bins_and_instances(tmp_path):
     cfg = harness.make_config("density", {
         "samples": 3, "mc": 4000, "bins": 10, "w_desk": 5, "k_desk": 1,
@@ -437,7 +457,37 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     code = cli.main(["verify", "--suite", "oracle", "--out", str(tmp_path / "v")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "checks passed" in out
+    assert out.splitlines() == [
+        "ok   oracle/sieve-vs-trial-division: lambda, mu, Lambda-tags, tau_3 agree on 1..20000",
+        "ok   oracle/sieve-file-round-trip: save/load round trip preserves the table",
+        "ok   oracle/factor-certified: 200 factorizations certified (primality and product)",
+        "3/3 checks passed",
+    ]
+
+
+def test_cli_verify_failure_exit_three(tmp_path, capsys, monkeypatch):
+    checks = [harness.CheckResult("oracle", "good", True, "fine"),
+              harness.CheckResult("lemmas", "bad", False, "AssertionError: (2, 3)")]
+    monkeypatch.setattr(harness, "verify_battery", lambda suite: checks)
+    code = cli.main(["verify", "--out", str(tmp_path / "v")])
+    assert code == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   oracle/good: fine",
+        "FAIL lemmas/bad: AssertionError: (2, 3)",
+        "1/2 checks passed",
+    ]
+
+
+def test_cli_hasse_banner(tmp_path, capsys):
+    out = tmp_path / "h"
+    code = cli.main(["hasse", "--samples", "1", "--mc", "2000", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "m_dk=20 w_desk=7 k_desk=2",
+        f"results: {out / 'results.jsonl'} (1 records)",
+        f"summary: {out / 'summary.csv'}",
+        f"manifest: {out / 'manifest.json'}",
+    ]
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

@@ -136,3 +136,26 @@ def test_pmod_gcd_monic():
     g = polys.pmod_gcd([1, 0, 1], [2, 1], 5)  # t^2+1 and t+2 share root t=-2=3
     assert g == [2, 1]
     assert polys.pmod_gcd([1, 0, 1], [1, 1], 5) == [1]
+
+
+def test_has_rational_root_worked():
+    assert polys.has_rational_root([])  # the zero polynomial
+    assert polys.has_rational_root([0, 0])
+    assert not polys.has_rational_root([7])
+    assert polys.has_rational_root([0, 3, 1])  # t = 0
+    assert polys.has_rational_root([-1, 2])  # t = 1/2
+    assert not polys.has_rational_root([3, 0, -4, 0])  # trimmed: 3 - 4t^2
+    assert not polys.has_rational_root([-2, 0, 1])
+    assert polys.has_rational_root([-9, 0, 4])  # t = 3/2
+    assert not polys.has_rational_root([2, 0, 0, 1])
+
+
+def test_has_rational_root_matches_sympy():
+    rng = random.Random(13)
+    for _ in range(300):
+        f = _random_poly(rng, rng.randint(1, 5), lim=12)
+        if rng.random() < 0.2:
+            f[0] = 0
+        _, factors = sympy.factor_list(_to_sympy([Fraction(c) for c in f]), T)
+        want = any(sympy.degree(fac, T) == 1 for fac, _ in factors)
+        assert polys.has_rational_root(f) == want, f
