@@ -393,14 +393,13 @@ def count_Nc(
 def localized_Nc(
     instance: ChateletInstance,
     x: int,
-    region: RegionB,
     W_powered: int,
     profile: DensityProfile,
 ) -> tuple[float, float]:
     """Model count: sum of gamma(W, g(m,n)) * omega_hat(g(m,n)).
 
     The gamma weight is exact per residue class; omega_hat comes from the
-    run's shared Monte-Carlo draw of `region` (a DensityProfile), whose
+    run's shared Monte-Carlo draw of a region (`profile.region`), whose
     variance is propagated through the weighted sum.
     """
     vals = _value_table(instance, x)

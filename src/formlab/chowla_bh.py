@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .forms import BinaryForm, CombinatorialCube, form_grid, orbit_sum
+from .forms import _EVAL_BLOCK, BinaryForm, CombinatorialCube, form_grid, orbit_sum
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7
@@ -67,20 +67,60 @@ def _chowla_grid(lo: float, hi: float, grid_size) -> tuple[tuple[float, ...], tu
     return tuple(xs), tuple(min(math.floor(x), top) for x in xs)
 
 
-def chowla_statistic(
-    form: BinaryForm,
-    scale: int,
-    exponent: float,
-    sieve: SieveTable,
-    grid_size=16,
-) -> ChowlaStat:
-    """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2.
+@dataclass(frozen=True)
+class ChowlaBlock:
+    """The window statistic of many forms of one degree at one (H, c)."""
 
-    The sum runs over 1 <= u, v <= floor(x).  g and lambda are evaluated
-    once on the whole [1, floor(2H^c)]^2 square; the sum over [1, n]^2 is
-    the n-th diagonal entry of its 2-D prefix sum, in exact int64.
+    grid: tuple[float, ...]  # window points x, ascending
+    floors: tuple[int, ...]  # min(floor(x), top) per grid point
+    sums: np.ndarray  # (F, top) int64: S(n), the sum over [1, n]^2, for n = 1..top
+    overflow: np.ndarray  # (F,) bool: rows refused because their values overflow int64
+
+    @property
+    def trace(self) -> np.ndarray:
+        """(F, len(grid)) float64: |S(floor x)| / x^2 at every grid point."""
+        x = np.array(self.grid)
+        # float64 division, bit for bit the scalar abs(S) / (x * x)
+        return np.abs(self.sums[:, np.array(self.floors) - 1]) / (x * x)
+
+    @property
+    def statistic(self) -> np.ndarray:
+        """(F,) row maxima of the trace.
+
+        With floor(x) fixed the value falls as x grows, and rounding keeps
+        that order, so each floor's least grid point carries its maximum
+        and only those are formed.
+        """
+        floors = np.array(self.floors)
+        least = np.flatnonzero(np.diff(floors, prepend=0))
+        x = np.array(self.grid)[least]
+        return (np.abs(self.sums[:, floors[least] - 1]) / (x * x)).max(axis=1)
+
+
+OVERFLOW = "form values overflow the int64 layer sums"
+
+
+def _overflows(rows: np.ndarray, scale: int) -> np.ndarray:
+    """sum_i |c_i| * scale >= 2^62 per row, exactly: the sum saturates at its threshold."""
+    need = np.uint64(-(-(2**62) // scale))
+    acc = np.zeros(len(rows), dtype=np.uint64)
+    for col in rows.T:
+        # viewed as uint64, the wrapped magnitude of -2**63 reads 2**63
+        acc = np.minimum(acc + np.minimum(np.abs(col).view(np.uint64), need), need)
+    return acc >= need
+
+
+def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size=16) -> ChowlaBlock:
+    """The window statistic of every (c0, ..., cd) row of an (F, d+1) int64 array.
+
+    g and lambda are evaluated on the whole [1, floor(2H^c)]^2 square of
+    many forms at once, at most about _EVAL_BLOCK values at a time; the
+    sum over [1, n]^2 is the n-th diagonal entry of each form's 2-D prefix
+    sum, in exact int64.  Rows whose values could overflow int64 are
+    flagged in `overflow` and left at zero.
     """
-    d = form.degree
+    rows = np.asarray(rows, dtype=np.int64)
+    d = rows.shape[1] - 1
     if not 0 < exponent < exponent_cap(d):
         raise ValueError(f"exponent must lie in (0, {exponent_cap(d):.4f}) for degree {d}")
     if scale < 3:
@@ -91,23 +131,42 @@ def chowla_statistic(
     if top * top > _GRID_BUDGET:
         raise ResourceLimitError("scale window too large for the double-sum budget")
     xs, floors = _chowla_grid(lo, hi, grid_size)
-    if sum(abs(c) for c in form.coeffs) * max(top, 1) ** d >= 2**62:
-        raise ResourceLimitError("form values overflow the int64 layer sums")
+    overflow = _overflows(rows, top**d)
 
     axis = np.arange(1, top + 1)
-    lam = sieve.liouville_values(form_grid(form, axis, axis))
-    layer_sums = np.zeros(top + 1, dtype=np.int64)  # S(n) over the square [1, n]^2
-    layer_sums[1:] = lam.cumsum(0, dtype=np.int64).cumsum(1).diagonal()
-    x = np.array(xs)
-    # float64 division, bit for bit the scalar abs(S) / (x * x)
-    vals = (np.abs(layer_sums[list(floors)]) / (x * x)).tolist()
+    sums = np.zeros((len(rows), top), dtype=np.int64)
+    ok = np.flatnonzero(~overflow)
+    step = max(1, _EVAL_BLOCK // (top * top))
+    for part in (ok[r0 : r0 + step] for r0 in range(0, len(ok), step)):
+        lam = sieve.liouville_values(form_grid(rows[part], axis, axis))
+        sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)
+    return ChowlaBlock(grid=xs, floors=floors, sums=sums, overflow=overflow)
+
+
+def chowla_statistic(
+    form: BinaryForm,
+    scale: int,
+    exponent: float,
+    sieve: SieveTable,
+    grid_size=16,
+) -> ChowlaStat:
+    """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2.
+
+    The sum runs over 1 <= u, v <= floor(x); the one-row case of
+    `chowla_block`.
+    """
+    # a coefficient beyond int64 overflows the layer sums either way
+    row = [min(max(c, -(2**63) + 1), 2**63 - 1) for c in form.coeffs]
+    block = chowla_block([row], scale, exponent, sieve, grid_size)
+    if block.overflow[0]:
+        raise ResourceLimitError(OVERFLOW)
     return ChowlaStat(
         form=form,
         scale=scale,
         exponent=exponent,
-        grid=xs,
-        statistic=max(vals),
-        trace=tuple(zip(xs, vals)),
+        grid=block.grid,
+        statistic=float(block.statistic[0]),
+        trace=tuple(zip(block.grid, block.trace[0].tolist())),
     )
 
 

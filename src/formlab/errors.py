@@ -10,6 +10,11 @@ class ResourceLimitError(RuntimeError):
     """An enumeration or search would exceed its operation budget."""
 
 
+class RecordError(RuntimeError):
+    """A record failed for a reason other than a budget; the message names
+    the experiment kind and the index, or the block of indices."""
+
+
 class IndexDivisorError(ValueError):
     """Splitting data requested at a prime dividing the order index."""
 

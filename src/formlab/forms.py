@@ -18,7 +18,7 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .rng import philox
+from .rng import philox_each
 
 _GRID_BUDGET = 10**8
 
@@ -116,17 +116,20 @@ def _form_disc(coeffs: tuple[int, ...]) -> int:
     return _form_disc(coeffs[1:]) * coeffs[1] ** 2
 
 
-def form_grid(g: BinaryForm, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+def form_grid(g, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """g(m, n) for m in ms (rows) and n in ns (columns), in int64.
 
+    `g` is a BinaryForm, giving one (len(ms), len(ns)) grid, or an
+    (F, d+1) array of coefficient rows, giving (F, len(ms), len(ns)) grids.
     g(m, n) = sum_i c_i m^(d-i) n^i is the product of two Vandermonde
     matrices; exact when the callers' overflow guards bound every
     sum_i |c_i| |m|^(d-i) |n|^i below 2^63.
     """
-    expo = np.arange(g.degree + 1)
+    coeffs = np.asarray(g.coeffs if isinstance(g, BinaryForm) else g, dtype=np.int64)
+    expo = np.arange(coeffs.shape[-1])
     mpow = np.asarray(ms, dtype=np.int64)[:, None] ** expo
     npow = np.asarray(ns, dtype=np.int64)[:, None] ** expo
-    return (mpow[:, ::-1] * np.array(g.coeffs, dtype=np.int64)) @ npow.T
+    return (mpow[:, ::-1] * coeffs[..., None, :]) @ npow.T
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +328,22 @@ class CombinatorialCube:
 
     def sample(self, seed: int, index: int) -> BinaryForm:
         """Uniform draw; depends only on (seed, index), not draw order."""
+        return BinaryForm(self.sample_rows(seed, [index])[0].tolist())
+
+    def sample_rows(self, seed: int, indices) -> np.ndarray:
+        """The draws at `indices` as (n, d+1) int64 coefficient rows.
+
+        Each draw's free coordinates, in index order, are one `integers`
+        call on its own Philox stream (seed, "cube", index).
+        """
         fixed = dict(self.fixed)
-        rng = philox(seed, "cube", index)
-        coeffs = []
-        for i in range(self.degree + 1):
-            if i in fixed:
-                coeffs.append(fixed[i])
-            else:
-                coeffs.append(int(rng.integers(-self.side, self.side + 1)))
-        return BinaryForm(coeffs)
+        free = [i for i in range(self.degree + 1) if i not in fixed]
+        lo, hi, n = -self.side, self.side + 1, len(free)
+        draws = [rng.integers(lo, hi, size=n) for rng in philox_each(seed, "cube", indices=indices)]
+        rows = np.empty((len(draws), self.degree + 1), dtype=np.int64)
+        rows[:, free] = np.reshape(draws, (len(draws), n))
+        rows[:, list(fixed)] = list(fixed.values())
+        return rows
 
     def to_json(self) -> str:
         return json.dumps(

@@ -2,14 +2,14 @@
 
 Each experiment kind is one `Protocol` in `PROTOCOLS`: the config fields
 it reads with their defaults, its validation, its shared state, its
-per-index record, its summary rows, its CLI help and what its CLI run
-prints.  Config coercion, the CLI flags and the summaries are derived
-from that registry.
+records for a block of indices, its summary rows, its CLI help and what
+its CLI run prints.  Config coercion, the CLI flags and the summaries are
+derived from that registry.
 
-Every sample record is a pure function of (config, index).  The pool maps
-over indices and the single writer emits canonical JSON in index order,
-so the result byte stream is identical for any worker count and any
-scheduling.  Heavy shared state (sieve table, region histogram, the MC
+Every sample record is a pure function of (config, index).  Records are
+computed in contiguous blocks of indices, in this process or in a pool,
+and the single writer emits canonical JSON in index order, so the result
+byte stream is identical for any worker count and any scheduling.  Heavy shared state (sieve table, region histogram, the MC
 profile) is built once in the parent before the pool forks.
 """
 
@@ -22,6 +22,7 @@ import math
 import multiprocessing as mp
 import os
 import tempfile
+import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__, arith, chatelet, chowla_bh, forms, normforms
 from . import sieve as sieve_mod
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, RecordError, ResourceLimitError
 from .forms import BinaryForm, CombinatorialCube
 from .normforms import DensityProfile, NormForm, RegionB, field_presets
 from .rng import philox
@@ -168,6 +169,31 @@ def effective_workers(requested: int) -> int:
 # The experiment kinds.  Records hold plain JSON types only; `statistic`
 # and `H` feed the generic summary, kind-specific fields carry the science.
 
+def _error_record(cfg: ExperimentConfig, i: int, error: str) -> dict:
+    # budget overruns are data, not crashes
+    return {"record": "error", "index": i, "error": error, "statistic": None, "H": cfg.H}
+
+
+def per_index(record: Callable[[ExperimentConfig, dict, int], dict]):
+    """The block hook that calls `record(cfg, state, i)` for each index.
+
+    A ResourceLimitError becomes that index's error record; any other
+    failure is raised as a RecordError naming the kind and the index.
+    """
+    def records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
+        out = []
+        for i in block:
+            try:
+                out.append(record(cfg, state, i))
+            except ResourceLimitError as exc:
+                out.append(_error_record(cfg, i, str(exc)))
+            except Exception as exc:
+                raise RecordError(f"{cfg.kind} record {i}: {type(exc).__name__}: {exc}") from exc
+        return out
+
+    return records
+
+
 def _check_scale_exponent(cfg: ExperimentConfig) -> None:
     cap = chowla_bh.exponent_cap(cfg.d)
     if not 0 < cfg.c < cap:
@@ -189,18 +215,23 @@ def _chowla_state(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _chowla_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
-    stat = chowla_bh.chowla_statistic(
-        state["cube"].sample(cfg.seed, i), cfg.H, cfg.c, state["sieve"], cfg.grid
-    )
-    return {
-        "record": "sample",
-        "index": i,
-        "coeffs": list(stat.form.coeffs),
-        "statistic": float(stat.statistic),
-        "window": [float(stat.grid[0]), float(stat.grid[-1])],
-        "H": cfg.H,
-    }
+def _chowla_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
+    rows = state["cube"].sample_rows(cfg.seed, block)
+    try:
+        stats = chowla_bh.chowla_block(rows, cfg.H, cfg.c, state["sieve"], cfg.grid)
+    except ResourceLimitError as exc:
+        return [_error_record(cfg, i, str(exc)) for i in block]
+    lo, hi = float(stats.grid[0]), float(stats.grid[-1])
+    out = []
+    for i, coeffs, stat, over in zip(
+        block, rows.tolist(), stats.statistic.tolist(), stats.overflow.tolist()
+    ):
+        if over:
+            out.append(_error_record(cfg, i, chowla_bh.OVERFLOW))
+        else:
+            out.append({"record": "sample", "index": i, "coeffs": coeffs,
+                        "statistic": stat, "window": [lo, hi], "H": cfg.H})
+    return out
 
 
 def _chowla_summary(records: list[dict]) -> list[tuple]:
@@ -314,7 +345,7 @@ def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
 def _counts(cfg: ExperimentConfig, state: dict, inst: chatelet.ChateletInstance):
     """(Nc, Nc_hat, Nc_err): the exact count and its localized model."""
     nc = chatelet.count_Nc(inst, cfg.x, state["region"])
-    est, err = chatelet.localized_Nc(inst, cfg.x, state["region"], state["W"], state["profile"])
+    est, err = chatelet.localized_Nc(inst, cfg.x, state["W"], state["profile"])
     return nc, float(est), float(err)
 
 
@@ -501,8 +532,12 @@ class Protocol:
     `fields` are the config fields the kind reads; each is a flag of its
     subcommand, with `flag_help` where the default alone does not explain
     it.  `defaults` override ExperimentConfig's defaults for this kind.
-    A run writes the `prefix` rows, then `record(cfg, state, i)` for
-    i < `count(cfg)`; `state` is `build_state(cfg)`, built once per run.
+    A run writes the `prefix` rows, then the records of the indices
+    i < `count(cfg)`: `records(cfg, state, block)` returns one record per
+    index of a contiguous `range` block, in order, each a pure function of
+    (cfg, i), so any split into blocks gives the same records.  A kind
+    with a per-index function gets its hook from `per_index`.  `state`
+    is `build_state(cfg)`, built once per run.
     `summary` maps the records to the kind's summary.csv rows.  After a
     CLI run, `report(cfg, manifest)` prints to stdout and returns the exit
     code.
@@ -513,7 +548,7 @@ class Protocol:
     defaults: dict
     validate: Callable[[ExperimentConfig], None]
     build_state: Callable[[ExperimentConfig], dict]
-    record: Optional[Callable[[ExperimentConfig, dict, int], dict]]
+    records: Optional[Callable[[ExperimentConfig, dict, range], list[dict]]]
     summary: Callable[[list[dict]], list[tuple]]
     prefix: Callable[[ExperimentConfig, dict], list[dict]] = lambda cfg, state: []
     count: Callable[[ExperimentConfig], int] = lambda cfg: cfg.samples
@@ -528,7 +563,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"d": 3, "H": 1000, "c": 0.08, "samples": 200},
         validate=_check_scale_exponent,
         build_state=_chowla_state,
-        record=_chowla_record,
+        records=_chowla_records,
         summary=_chowla_summary,
     ),
     "bh": Protocol(
@@ -537,7 +572,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"d": 2, "H": 500, "c": 0.05, "x": 300, "r": 1, "samples": 50},
         validate=_validate_bh,
         build_state=_bh_state,
-        record=_bh_record,
+        records=per_index(_bh_record),
         summary=_bh_summary,
         count=lambda cfg: 1 if cfg.anchor else cfg.samples,
         flag_help={"anchor": "single identity-form record (densities exactly known)"},
@@ -550,7 +585,7 @@ PROTOCOLS: dict[str, Protocol] = {
                   "x": 20, "mc": 20000},
         validate=_validate_local,
         build_state=_local_state,
-        record=_hasse_record,
+        records=per_index(_hasse_record),
         summary=_hasse_summary,
     ),
     "density": Protocol(
@@ -559,7 +594,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"d": 2, "H": 50, "x": 40, "samples": 0, "mc": 100000},
         validate=_validate_density,
         build_state=_density_state,
-        record=_density_record,
+        records=per_index(_density_record),
         summary=_density_summary,
         prefix=_density_prefix,
     ),
@@ -569,7 +604,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"samples": 0},
         validate=_validate_verify,
         build_state=lambda cfg: {},
-        record=None,
+        records=None,
         summary=_verify_summary,
         prefix=_verify_prefix,
         count=lambda cfg: 0,
@@ -598,36 +633,44 @@ def _state_for(cfg: ExperimentConfig) -> dict:
     return _hold_state(cfg) if state is None else state
 
 
-def _record_for_index(cfg: ExperimentConfig, state: dict, i: int) -> dict:
+def _block_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
     try:
-        return PROTOCOLS[cfg.kind].record(cfg, state, i)
-    except ResourceLimitError as exc:
-        # budget overruns are data, not crashes
-        return {"record": "error", "index": i, "error": str(exc),
-                "statistic": None, "H": cfg.H}
+        return PROTOCOLS[cfg.kind].records(cfg, state, block)
+    except RecordError:
+        raise
+    except Exception as exc:
+        raise RecordError(f"{cfg.kind} records {block.start}..{block.stop - 1}: "
+                          f"{type(exc).__name__}: {exc}") from exc
 
 
-def _held_record(i: int) -> dict:
-    """Record i of the held run, read without hashing its config."""
+def _held_block(block: range) -> list[dict]:
+    """The records of a block of the held run, read without hashing its config."""
     ((cfg, state),) = _STATE.items()
-    return _record_for_index(cfg, state, i)
+    return _block_records(cfg, state, block)
 
 
 def compute_records(cfg: ExperimentConfig) -> list[dict]:
-    """All records for the run, ordered; parallel over sample indices."""
+    """All records for the run, ordered; parallel over blocks of sample indices.
+
+    The indices are cut into contiguous blocks of n // (4 * workers), at
+    least one index each, so each worker gets about four or more; with
+    one worker they are computed in this process, otherwise in a pool that
+    forks after the run's state is built.
+    """
     protocol = PROTOCOLS[cfg.kind]
-    state = _hold_state(cfg)
+    state = _state_for(cfg)
     prefix = protocol.prefix(cfg, state)
-    idxs = list(range(protocol.count(cfg)))
+    n = protocol.count(cfg)
     w = effective_workers(cfg.workers)
-    if w <= 1 or len(idxs) <= 1:
-        recs = [_record_for_index(cfg, state, i) for i in idxs]
+    size = max(1, n // (4 * w))
+    blocks = [range(i, min(i + size, n)) for i in range(0, n, size)]
+    if w <= 1 or len(blocks) <= 1:
+        parts = [_block_records(cfg, state, b) for b in blocks]
     else:
         ctx = mp.get_context("fork")
-        chunk = max(1, len(idxs) // (4 * w))
         with ProcessPoolExecutor(max_workers=w, mp_context=ctx) as ex:
-            recs = list(ex.map(_held_record, idxs, chunksize=chunk))
-    return prefix + recs
+            parts = list(ex.map(_held_block, blocks))
+    return prefix + [rec for part in parts for rec in part]
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +687,8 @@ class RunManifest:
     files: dict
     records: int
     failed_checks: int
+    # wall seconds of the phases: state build, records, results and summary writing
+    timings: dict
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -670,7 +715,11 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     started = _utcnow()
+    t0 = time.perf_counter()
+    _hold_state(cfg)
+    t1 = time.perf_counter()
     records = compute_records(cfg)
+    t2 = time.perf_counter()
     results = out / "results.jsonl"
     with open(results, "w") as fh:
         for rec in records:
@@ -691,6 +740,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         for key, value in rows:
             fh.write(f"{key},{value}\n")
     failed = sum(1 for r in records if r.get("record") == "check" and not r["ok"])
+    t3 = time.perf_counter()
     manifest = RunManifest(
         out_dir=str(out),
         config=cfg.to_dict(),
@@ -701,6 +751,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         files={p.name: _sha256_file(p) for p in (results, summary)},
         records=len(records),
         failed_checks=failed,
+        timings={"state_s": t1 - t0, "records_s": t2 - t1, "write_s": t3 - t2},
     )
     with open(out / "manifest.json", "w") as fh:
         fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=1) + "\n")

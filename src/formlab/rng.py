@@ -8,6 +8,7 @@ in which order it ran.  Labels may mix ints and strings.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -48,3 +49,23 @@ def philox(seed: int, *stream) -> np.random.Generator:
     k0 = mix(seed, "key0", *stream)
     k1 = mix(seed, "key1", *stream)
     return np.random.Generator(np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)))
+
+
+def philox_each(seed: int, *stream, indices) -> Iterator[np.random.Generator]:
+    """philox(seed, *stream, i) for each i in indices, in order.
+
+    The keys of the whole index array come from one vectorized hash, and
+    one generator is re-keyed before each yield, so a yielded generator
+    is valid only until the next one is drawn.
+    """
+    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)  # int labels are hashed mod 2^64
+    # (state, out) after the leading label parts, one row per key half
+    pre = np.array([_prefix(seed, half, *stream) for half in ("key0", "key1")], dtype=np.uint64)
+    keys = (pre[:, 1:] ^ _splitmix64(pre[:, :1] ^ idx)[1]).T
+    # one construction per call: Philox(key=...) gathers unused OS entropy each time
+    gen = np.random.Generator(np.random.Philox(key=0))
+    fresh = gen.bit_generator.state  # counter 0 and an empty output buffer, as on construction
+    for key in keys:
+        fresh["state"]["key"] = key
+        gen.bit_generator.state = fresh
+        yield gen

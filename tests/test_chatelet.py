@@ -595,16 +595,16 @@ def test_localized_pure_archimedean(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
     prof = DensityProfile.draw(region40, 20000, 5)
     vals = ch._value_table(inst, 40)
-    est, err = ch.localized_Nc(inst, 40, region40, 1, profile=prof)
+    est, err = ch.localized_Nc(inst, 40, 1, profile=prof)
     ref, referr = prof.aggregate(vals.astype(np.float64), np.ones(len(vals)))
     assert est == ref and err == referr
 
 
 def test_localized_deterministic_given_seed(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
-    a = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 9))
-    b = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 9))
-    c = ch.localized_Nc(inst, 40, region40, 30, DensityProfile.draw(region40, 5000, 10))
+    a = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 9))
+    b = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 9))
+    c = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 10))
     assert a == b
     assert a != c
 
@@ -630,7 +630,7 @@ def test_localized_converges_to_exact_count(Qi, region40):
     for coeffs in ([39, 2, -3], [26, 44, -32]):
         inst = inst_of(Qi, coeffs)
         nc = ch.count_Nc(inst, 40, region40)
-        est, _ = ch.localized_Nc(inst, 40, region40, W, profile=prof)
+        est, _ = ch.localized_Nc(inst, 40, W, profile=prof)
         assert nc > 100
         assert abs(nc - est) / nc < 0.05, (coeffs, nc, est)
 

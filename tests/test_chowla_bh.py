@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formlab import harness
+from formlab import chowla_bh, harness
 from formlab.arith import primes
 from formlab.chowla_bh import (
     BHResult,
@@ -22,6 +22,7 @@ from formlab.chowla_bh import (
     accepted_draw_index,
     bh_admissible,
     bh_correlation,
+    chowla_block,
     chowla_statistic,
     exponent_cap,
     is_irreducible,
@@ -165,6 +166,60 @@ def test_statistic_exact_against_oracle(case, coeffs, grids):
     assert later.statistic == oracle_statistic(g, later.grid)[0]
     assert (list(stat.grid), list(stat.trace), stat.statistic) == before
     assert chowla_statistic(g, H, c, _SIEVE_30, grid_size=first) == stat
+
+
+_WILD = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([(1, 400, 0.25), (2, 10**6, 0.12), (3, 10**8, 0.085),
+                          (4, 10**6, 0.06)]),
+    rows=st.lists(
+        st.one_of(st.lists(st.integers(-40, 40), min_size=5, max_size=5),
+                  st.lists(st.one_of(st.integers(-40, 40), _WILD), min_size=5, max_size=5)),
+        min_size=1, max_size=6),
+    grid=st.sampled_from([16, "all"]),
+)
+@example(case=(1, 400, 0.25), rows=[[-(2**63), 0, 0, 0, 0], [1, 2, 0, 0, 0],
+                                    [2**58, 2**58, 0, 0, 0], [2**58, 1 - 2**58, 0, 0, 0],
+                                    [0] * 5], grid="all")  # 8 * (|c0| + |c1|) at 2^62 and below
+def test_block_matches_statistic_row_by_row(case, rows, grid):
+    # a block mixing rows refused for overflow with computed rows equals
+    # chowla_statistic run row by row; values beyond the 30-entry sieve
+    # take the scalar lambda path
+    d, H, c = case
+    rows = [r[: d + 1] for r in rows]
+    block = chowla_block(np.array(rows, dtype=np.int64), H, c, _SIEVE_30, grid)
+    stats, traces = block.statistic.tolist(), block.trace.tolist()
+    for r, row in enumerate(rows):
+        if block.overflow[r]:
+            with pytest.raises(ResourceLimitError, match="overflow the int64 layer sums"):
+                chowla_statistic(BinaryForm(row), H, c, _SIEVE_30, grid)
+            continue
+        stat = chowla_statistic(BinaryForm(row), H, c, _SIEVE_30, grid)
+        assert block.grid == stat.grid
+        assert stats[r] == stat.statistic
+        assert traces[r] == [v for _, v in stat.trace]
+        assert list(zip(block.grid, traces[r])) == list(stat.trace)
+
+
+def test_block_guard_splits_evaluation(monkeypatch, sieve_small):
+    # with the entry budget below one form's square every form is evaluated
+    # on its own, with the same sums
+    rows = CombinatorialCube(2, 50).sample_rows(3, range(40))
+    whole = chowla_block(rows, 10**4, 0.13, sieve_small)
+    monkeypatch.setattr(chowla_bh, "_EVAL_BLOCK", 1)
+    alone = chowla_block(rows, 10**4, 0.13, sieve_small)
+    assert np.array_equal(whole.sums, alone.sums)
+    assert whole.statistic.tolist() == alone.statistic.tolist()
+
+
+def test_block_budget_and_empty(sieve_small):
+    with pytest.raises(ResourceLimitError, match="double-sum budget"):
+        chowla_block(np.zeros((3, 2), dtype=np.int64), 10**13, 0.25, sieve_small)
+    empty = chowla_block(np.zeros((0, 4), dtype=np.int64), 1000, 0.08, sieve_small)
+    assert empty.statistic.shape == (0,) and empty.trace.shape == (0, len(empty.grid))
 
 
 def test_statistic_validation(sieve_small):

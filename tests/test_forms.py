@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from formlab import forms
 from formlab.forms import BinaryForm, CombinatorialCube
+from formlab.rng import mix
 
 
 # -- independent oracles ------------------------------------------------------
@@ -319,6 +320,48 @@ def test_cube_determinism_and_json():
     clone = CombinatorialCube.from_json(cube.to_json())
     assert clone == cube
     assert clone.sample(5, 77).coeffs == cube.sample(5, 77).coeffs
+
+
+def _fresh_draw(cube, seed, i):
+    """Draw i as a fresh Philox generator keyed by the label hash gives it."""
+    key = [mix(seed, "key0", "cube", i), mix(seed, "key1", "cube", i)]
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    fixed = dict(cube.fixed)
+    return [fixed[j] if j in fixed else int(gen.integers(-cube.side, cube.side + 1))
+            for j in range(cube.degree + 1)]
+
+
+@pytest.mark.parametrize("cube", [
+    CombinatorialCube(3, 1000),
+    CombinatorialCube(2, 0),
+    CombinatorialCube(4, 2**40, {1: 5, 3: -2}),
+    CombinatorialCube(1, 3, {0: 1, 1: 2}),
+    CombinatorialCube(2, 2**62),
+])
+def test_cube_rows_match_fresh_generators(cube):
+    idx = [0, 1, 2, 3, 57, 1000, 2**40]
+    for seed in (42, 2**64 - 1):
+        rows = cube.sample_rows(seed, idx)
+        assert rows.dtype == np.int64 and rows.shape == (len(idx), cube.degree + 1)
+        assert rows.tolist() == [_fresh_draw(cube, seed, i) for i in idx]
+        assert [cube.sample(seed, i).coeffs for i in idx] == [tuple(r) for r in rows.tolist()]
+    assert cube.sample_rows(42, []).shape == (0, cube.degree + 1)
+
+
+def test_cube_pinned_draw():
+    cube = CombinatorialCube(3, 1000)
+    assert cube.sample(42, 7).coeffs == (50, 777, -823, -651)
+    assert cube.sample_rows(42, range(5, 9))[2].tolist() == [50, 777, -823, -651]
+
+
+def test_form_grid_rows_match_single_forms():
+    rows = np.array([[1, -2, 3], [0, 0, 0], [-5, 7, 11], [9, 0, -1]], dtype=np.int64)
+    ms, ns = np.arange(-3, 5), np.arange(1, 7)
+    grids = forms.form_grid(rows, ms, ns)
+    assert grids.shape == (4, len(ms), len(ns))
+    for row, grid in zip(rows.tolist(), grids):
+        assert np.array_equal(grid, forms.form_grid(BinaryForm(row), ms, ns))
+        assert grid.tolist() == [[oracle_eval(row, m, n) for n in ns] for m in ms]
 
 
 def test_cube_validation():

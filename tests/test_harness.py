@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab import cli, harness
-from formlab.errors import ConfigError
+from formlab import chowla_bh, cli, harness
+from formlab.errors import ConfigError, RecordError, ResourceLimitError
 from formlab.normforms import field_presets
 
 
@@ -279,6 +279,114 @@ def test_resource_errors_become_records(tmp_path):
     recs = _read_jsonl(Path(man.out_dir) / "results.jsonl")
     assert len(recs) == 2
     assert all(r["record"] == "error" and "error" in r for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# Index blocks.
+
+# results.jsonl of the 300-sample chowla run at seed 42, pinned while its
+# records were still computed one sample at a time
+_CHOWLA_300 = "cd9ceaaa7f794b12edf2cd6069b8b4834ca48cbc4c1aee12b9244e6062ede097"
+
+
+def test_chowla_300_pinned(tmp_path):
+    man = harness.run(harness.make_config("chowla", {"samples": 300, "out": str(tmp_path)}))
+    assert man.files["results.jsonl"] == _CHOWLA_300
+
+
+@pytest.mark.parametrize("kind,settings", [
+    ("chowla", {"H": 90, "samples": 23}),
+    ("hasse", {"samples": 7, "height": 50, "primes": 15, "mc": 2000}),
+])
+def test_records_identical_across_block_splits(kind, settings):
+    cfg = harness.make_config(kind, settings)
+    whole = harness.compute_records(cfg)
+    state = harness._state_for(cfg)
+    hook = harness.PROTOCOLS[kind].records
+    n = cfg.samples
+    for size in (1, 2, 5, n):
+        split = [rec for lo in range(0, n, size)
+                 for rec in hook(cfg, state, range(lo, min(lo + size, n)))]
+        assert split == whole
+
+
+def test_chowla_workers_agree_off_block_multiple(tmp_path):
+    # 23 samples: blocks of 5 (and a last one of 3) at one worker, of 2 at two
+    runs = [harness.run(harness.make_config("chowla", {
+        "H": 90, "samples": 23, "seed": 8, "workers": w, "out": str(tmp_path / f"w{w}")}))
+        for w in (1, 2)]
+    assert runs[0].files == runs[1].files
+    recs = _read_jsonl(Path(runs[0].out_dir) / "results.jsonl")
+    assert [r["index"] for r in recs] == list(range(23))
+
+
+def test_chowla_records_match_row_by_row():
+    # at H = 2^59 and d = 1 most draws overflow the layer sums; the block's
+    # error and sample records are the ones each draw gives on its own
+    cfg = harness.make_config("chowla", {"samples": 12, "d": 1, "c": 0.05, "H": 2**59})
+    recs = harness.compute_records(cfg)
+    state = harness._state_for(cfg)
+    for i, rec in enumerate(recs):
+        form = state["cube"].sample(cfg.seed, i)
+        try:
+            stat = chowla_bh.chowla_statistic(form, cfg.H, cfg.c, state["sieve"], cfg.grid)
+        except ResourceLimitError as exc:
+            assert rec == {"record": "error", "index": i, "error": str(exc),
+                           "statistic": None, "H": cfg.H}
+            continue
+        assert rec == {"record": "sample", "index": i, "coeffs": list(form.coeffs),
+                       "statistic": stat.statistic, "H": cfg.H,
+                       "window": [stat.grid[0], stat.grid[-1]]}
+    assert {r["record"] for r in recs} == {"error", "sample"}
+
+
+def test_chowla_budget_error_for_every_index():
+    cfg = harness.make_config("chowla", {"samples": 5, "d": 1, "c": 0.25, "H": 10**13})
+    assert harness.compute_records(cfg) == [
+        {"record": "error", "index": i, "statistic": None, "H": 10**13,
+         "error": "scale window too large for the double-sum budget"} for i in range(5)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_failure_names_kind_and_range(workers):
+    # the statistic refuses H < 3, which the config accepts
+    cfg = harness.make_config("chowla", {"H": 2, "samples": 5, "workers": workers})
+    with pytest.raises(RecordError,
+                       match=r"chowla records 0\.\.\d+: ValueError: scale must be >= 3") as info:
+        harness.compute_records(cfg)
+    if workers == 1:
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_per_index_names_the_index_and_keeps_budget_errors():
+    def record(cfg, state, i):
+        if i == 1:
+            raise ResourceLimitError("over budget")
+        if i == 3:
+            raise ZeroDivisionError("boom")
+        return {"record": "sample", "index": i}
+
+    hook = harness.per_index(record)
+    cfg = harness.make_config("bh", {})
+    assert hook(cfg, {}, range(3)) == [
+        {"record": "sample", "index": 0},
+        {"record": "error", "index": 1, "error": "over budget", "statistic": None, "H": cfg.H},
+        {"record": "sample", "index": 2},
+    ]
+    with pytest.raises(RecordError, match="bh record 3: ZeroDivisionError: boom") as info:
+        hook(cfg, {}, range(2, 5))
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_manifest_phase_timings(tmp_path):
+    man = harness.run(harness.make_config("chowla", {"H": 90, "samples": 6, "out": str(tmp_path)}))
+    disk = json.loads((tmp_path / "manifest.json").read_text())
+    assert disk["timings"] == man.timings
+    assert set(man.timings) == {"state_s", "records_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in man.timings.values())
+    for name in ("results.jsonl", "summary.csv"):
+        text = (tmp_path / name).read_text()
+        assert not any(key in text for key in ("timings", *man.timings))
 
 
 def test_bh_anchor_record(tmp_path):

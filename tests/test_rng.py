@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab import rng
-from formlab.rng import mix, philox
+from formlab.rng import mix, philox, philox_each
 
 _MASK = (1 << 64) - 1
 
@@ -85,3 +85,14 @@ def test_draws_are_schedule_independent():
     g5_again = philox(9, 5).random(4)
     assert (g5 == g5_again).all()
     assert isinstance(philox(0), np.random.Generator)
+
+
+def test_philox_each_matches_philox():
+    idx = [0, 1, 5, 2**40, -1, 3]
+    for seed in (0, 42, 2**64 - 1):
+        for i, gen in zip(idx, philox_each(seed, "cube", indices=idx)):
+            got = gen.integers(-1000, 1001, size=6)
+            # the re-keyed generator starts where a fresh one does
+            assert got.tolist() == philox(seed, "cube", i).integers(-1000, 1001, size=6).tolist()
+    labelled = philox_each(3, "a", 7, indices=[2])
+    assert next(labelled).random() == philox(3, "a", 7, 2).random()
