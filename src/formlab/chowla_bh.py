@@ -73,7 +73,7 @@ class ChowlaBlock:
 
     grid: tuple[float, ...]  # window points x, ascending
     floors: tuple[int, ...]  # min(floor(x), top) per grid point
-    sums: np.ndarray  # (F, top) int64: S(n), the sum over [1, n]^2, for n = 1..top
+    sums: np.ndarray  # (F, len(grid)) int64: S(floor x), the sum over [1, floor x]^2
     overflow: np.ndarray  # (F,) bool: rows refused because their values overflow int64
 
     @property
@@ -81,20 +81,12 @@ class ChowlaBlock:
         """(F, len(grid)) float64: |S(floor x)| / x^2 at every grid point."""
         x = np.array(self.grid)
         # float64 division, bit for bit the scalar abs(S) / (x * x)
-        return np.abs(self.sums[:, np.array(self.floors) - 1]) / (x * x)
+        return np.abs(self.sums) / (x * x)
 
     @property
     def statistic(self) -> np.ndarray:
-        """(F,) row maxima of the trace.
-
-        With floor(x) fixed the value falls as x grows, and rounding keeps
-        that order, so each floor's least grid point carries its maximum
-        and only those are formed.
-        """
-        floors = np.array(self.floors)
-        least = np.flatnonzero(np.diff(floors, prepend=0))
-        x = np.array(self.grid)[least]
-        return (np.abs(self.sums[:, floors[least] - 1]) / (x * x)).max(axis=1)
+        """(F,) row maxima of the trace."""
+        return self.trace.max(axis=1)
 
 
 OVERFLOW = "form values overflow the int64 layer sums"
@@ -116,8 +108,8 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
     g and lambda are evaluated on the whole [1, floor(2H^c)]^2 square of
     many forms at once, at most about _EVAL_BLOCK values at a time; the
     sum over [1, n]^2 is the n-th diagonal entry of each form's 2-D prefix
-    sum, in exact int64.  Rows whose values could overflow int64 are
-    flagged in `overflow` and left at zero.
+    sum, in exact int64, kept only at the grid points' floors.  Rows whose
+    values could overflow int64 are flagged in `overflow` and left at zero.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[1] - 1
@@ -134,12 +126,13 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
     overflow = _overflows(rows, top**d)
 
     axis = np.arange(1, top + 1)
-    sums = np.zeros((len(rows), top), dtype=np.int64)
+    cols = np.array(floors) - 1
+    sums = np.zeros((len(rows), len(xs)), dtype=np.int64)
     ok = np.flatnonzero(~overflow)
     step = max(1, _EVAL_BLOCK // (top * top))
     for part in (ok[r0 : r0 + step] for r0 in range(0, len(ok), step)):
         lam = sieve.liouville_values(form_grid(rows[part], axis, axis))
-        sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)
+        sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)[:, cols]
     return ChowlaBlock(grid=xs, floors=floors, sums=sums, overflow=overflow)
 
 

@@ -191,6 +191,7 @@ def test_block_matches_statistic_row_by_row(case, rows, grid):
     d, H, c = case
     rows = [r[: d + 1] for r in rows]
     block = chowla_block(np.array(rows, dtype=np.int64), H, c, _SIEVE_30, grid)
+    assert block.sums.shape == (len(rows), len(block.grid))
     stats, traces = block.statistic.tolist(), block.trace.tolist()
     for r, row in enumerate(rows):
         if block.overflow[r]:
