@@ -12,7 +12,7 @@ from .chatelet import (
     search_rational_point,
     sigma_mod,
 )
-from .chowla_bh import bh_correlation, chowla_statistic, singular_series
+from .chowla_bh import bh_correlation, chowla_block, singular_series
 from .errors import ConfigError, ResourceLimitError
 from .forms import BinaryForm, CombinatorialCube
 from .harness import ExperimentConfig, make_config, run, summarize, verify_battery
@@ -39,7 +39,7 @@ __all__ = [
     "SieveTable",
     "bh_correlation",
     "build_sieve",
-    "chowla_statistic",
+    "chowla_block",
     "classify_coeffs",
     "count_Nc",
     "field_presets",

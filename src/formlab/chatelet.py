@@ -60,10 +60,6 @@ class ChateletInstance:
     def d(self) -> int:
         return self.form.degree
 
-    @property
-    def power_ratio(self) -> int:
-        return self.d // self.e
-
     @cached_property
     def norm(self) -> NormForm:
         return NormForm(self.field)
@@ -375,12 +371,8 @@ def _value_table(instance: ChateletInstance, x: int) -> np.ndarray:
     return forms.form_grid(instance.form, ms, ms[ms != 0]).ravel()
 
 
-def count_Nc(
-    instance: ChateletInstance, x: int, region: RegionB, B: Optional[float] = None
-) -> int:
+def count_Nc(instance: ChateletInstance, x: int, region: RegionB) -> int:
     """Exact solution count over |m|,|n| <= x, n != 0, via the histogram."""
-    if B is not None and abs(B - region.B) > 1e-9 * max(1.0, region.B):
-        raise ValueError("region was built for a different scale B")
     vals = _value_table(instance, x)
     hist = region.histogram()
     uniq, cnt = np.unique(vals, return_counts=True)
@@ -569,7 +561,6 @@ def classify_coeffs(
     H: int,
     height_bound: int,
     prime_cutoff: int,
-    time_budget: int = 10**7,
 ) -> tuple[str, Optional[tuple], list[tuple[int, str]], Optional[str]]:
     """(class, witness, per-prime verdicts, obstruction note) for one form."""
     inst = ChateletInstance(field=field, form=BinaryForm(coeffs))
@@ -588,7 +579,7 @@ def classify_coeffs(
         verdicts.append((p, tag))
         if v.kind == "no":
             return "locally-obstructed", None, verdicts, f"p={p}"
-    witness = search_rational_point(inst, height_bound, time_budget)
+    witness = search_rational_point(inst, height_bound)
     if witness is not None:
         x, m, n = witness
         return "rational-point-found", (x, m, n), verdicts, None

@@ -40,16 +40,6 @@ def series_cutoff(x: float) -> int:
 # ---------------------------------------------------------------------------
 # Liouville sup statistic.
 
-@dataclass(frozen=True)
-class ChowlaStat:
-    form: BinaryForm
-    scale: int  # H
-    exponent: float  # c
-    grid: tuple[float, ...]
-    statistic: float
-    trace: tuple[tuple[float, float], ...]  # (x, |S(x)|/x^2) per grid point
-
-
 @lru_cache(maxsize=64)
 def _chowla_grid(lo: float, hi: float, grid_size) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Window points in [lo, hi] and their floors, capped at floor(hi); shared by a run."""
@@ -103,13 +93,15 @@ def _overflows(rows: np.ndarray, scale: int) -> np.ndarray:
 
 
 def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size=16) -> ChowlaBlock:
-    """The window statistic of every (c0, ..., cd) row of an (F, d+1) int64 array.
+    """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2, per row.
 
-    g and lambda are evaluated on the whole [1, floor(2H^c)]^2 square of
-    many forms at once, at most about _EVAL_BLOCK values at a time; the
-    sum over [1, n]^2 is the n-th diagonal entry of each form's 2-D prefix
-    sum, in exact int64, kept only at the grid points' floors.  Rows whose
-    values could overflow int64 are flagged in `overflow` and left at zero.
+    The sum runs over 1 <= u, v <= floor(x), for every (c0, ..., cd) row
+    of an (F, d+1) int64 array.  g and lambda are evaluated on the whole
+    [1, floor(2H^c)]^2 square of many forms at once, at most about
+    _EVAL_BLOCK values at a time; the sum over [1, n]^2 is the n-th
+    diagonal entry of each form's 2-D prefix sum, in exact int64, kept
+    only at the grid points' floors.  Rows whose values could overflow
+    int64 are flagged in `overflow` and left at zero.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[1] - 1
@@ -134,33 +126,6 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
         lam = sieve.liouville_values(form_grid(rows[part], axis, axis))
         sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)[:, cols]
     return ChowlaBlock(grid=xs, floors=floors, sums=sums, overflow=overflow)
-
-
-def chowla_statistic(
-    form: BinaryForm,
-    scale: int,
-    exponent: float,
-    sieve: SieveTable,
-    grid_size=16,
-) -> ChowlaStat:
-    """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2.
-
-    The sum runs over 1 <= u, v <= floor(x); the one-row case of
-    `chowla_block`.
-    """
-    # a coefficient beyond int64 overflows the layer sums either way
-    row = [min(max(c, -(2**63) + 1), 2**63 - 1) for c in form.coeffs]
-    block = chowla_block([row], scale, exponent, sieve, grid_size)
-    if block.overflow[0]:
-        raise ResourceLimitError(OVERFLOW)
-    return ChowlaStat(
-        form=form,
-        scale=scale,
-        exponent=exponent,
-        grid=block.grid,
-        statistic=float(block.statistic[0]),
-        trace=tuple(zip(block.grid, block.trace[0].tolist())),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +166,7 @@ def singular_series(
 
 @dataclass(frozen=True)
 class WTrick:
-    cutoff: float
-    modulus: int  # product of primes <= cutoff, squarefree
+    modulus: int  # product of the primes up to the cutoff, squarefree
     density: Fraction  # W / phi(W)
 
     @classmethod
@@ -213,7 +177,7 @@ class WTrick:
         for p in ps:
             W *= p
             phi *= p - 1
-        return cls(cutoff=float(cutoff), modulus=W, density=Fraction(W, phi))
+        return cls(modulus=W, density=Fraction(W, phi))
 
     @classmethod
     def for_x(cls, x: float) -> "WTrick":
@@ -240,13 +204,10 @@ def lambda_w(n: int, W: int) -> Fraction:
 class BHResult:
     forms: tuple[BinaryForm, ...]
     x: int
-    w_cutoff: float
     w_modulus: int
     series: Fraction
     correlation: float  # C, von Mangoldt side
     cramer: Fraction  # C_w, exact
-    deviation: float  # |C - series|
-    deviation_w: float  # |C_w - series|
 
     @property
     def ratio(self) -> Optional[float]:
@@ -270,13 +231,7 @@ def _value_grids(forms: Sequence[BinaryForm], x: int) -> list[np.ndarray]:
     return grids
 
 
-def bh_correlation(
-    forms: Sequence[BinaryForm],
-    x: int,
-    sieve: SieveTable,
-    w_cutoff: Optional[float] = None,
-    series_bound: Optional[int] = None,
-) -> BHResult:
+def bh_correlation(forms: Sequence[BinaryForm], x: int, sieve: SieveTable) -> BHResult:
     """Both correlation sums plus the local-density product.
 
     C averages the product of von Mangoldt values of the r forms over
@@ -287,8 +242,8 @@ def bh_correlation(
     if x < 2:
         raise ValueError("x must be >= 2")
     forms = tuple(forms)
-    trick = WTrick.for_x(x) if w_cutoff is None else WTrick.from_cutoff(w_cutoff)
-    series = singular_series(forms, x, cutoff=series_bound)
+    trick = WTrick.for_x(x)
+    series = singular_series(forms, x)
     grids = _value_grids(forms, x)
 
     prod = sieve.mangoldt_values(np.abs(grids[0]))
@@ -306,13 +261,10 @@ def bh_correlation(
     return BHResult(
         forms=forms,
         x=x,
-        w_cutoff=trick.cutoff,
         w_modulus=W,
         series=series,
         correlation=corr,
         cramer=cramer,
-        deviation=abs(corr - float(series)),
-        deviation_w=abs(float(cramer - series)),
     )
 
 

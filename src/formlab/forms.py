@@ -8,7 +8,6 @@ evaluation and fraction-free discriminants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -45,8 +44,6 @@ class BinaryForm:
             npow *= n
             acc = acc * m + c * npow
         return acc
-
-    evaluate = __call__
 
     def partials(self, m: int, n: int) -> tuple[int, int]:
         """Exact gradient (dg/du, dg/dv) at (m, n)."""
@@ -95,13 +92,6 @@ class BinaryForm:
             for j, b in enumerate(other.coeffs):
                 prod[i + j] += a * b
         return BinaryForm(prod)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.coeffs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinaryForm":
-        return cls(json.loads(text))
 
 
 def _form_disc(coeffs: tuple[int, ...]) -> int:
@@ -344,13 +334,3 @@ class CombinatorialCube:
         rows[:, free] = np.reshape(draws, (len(draws), n))
         rows[:, list(fixed)] = list(fixed.values())
         return rows
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.degree, "H": self.side, "fixed": {str(i): v for i, v in self.fixed}}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CombinatorialCube":
-        obj = json.loads(text)
-        return cls(obj["d"], obj["H"], {int(i): v for i, v in obj.get("fixed", {}).items()})

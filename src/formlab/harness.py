@@ -202,6 +202,14 @@ def _check_scale_exponent(cfg: ExperimentConfig) -> None:
         )
 
 
+def _validate_chowla(cfg: ExperimentConfig) -> None:
+    _check_scale_exponent(cfg)
+    if cfg.H < 3:
+        raise ConfigError("H must be at least 3")
+    if cfg.grid < 1:
+        raise ConfigError("grid must be at least 1")
+
+
 def _chowla_sieve_bound(cfg: ExperimentConfig) -> int:
     top = math.floor(2.0 * cfg.H**cfg.c)
     need = (cfg.d + 1) * cfg.H * max(top, 1) ** cfg.d
@@ -249,6 +257,8 @@ def _validate_bh(cfg: ExperimentConfig) -> None:
         raise ConfigError("r must be at least 1")
     if not 0 <= cfg.min_series:
         raise ConfigError("min_series must be nonnegative")
+    if cfg.d > 3 and not cfg.anchor:
+        raise ConfigError("bh samples need d <= 3: irreducibility is tested up to degree 3")
 
 
 def _bh_state(cfg: ExperimentConfig) -> dict:
@@ -561,7 +571,7 @@ PROTOCOLS: dict[str, Protocol] = {
         help="sign-correlation sup statistic over sampled forms",
         fields=("d", "H", "c", "samples", "grid"),
         defaults={"d": 3, "H": 1000, "c": 0.08, "samples": 200},
-        validate=_check_scale_exponent,
+        validate=_validate_chowla,
         build_state=_chowla_state,
         records=_chowla_records,
         summary=_chowla_summary,

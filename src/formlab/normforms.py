@@ -10,7 +10,6 @@ Monte-Carlo volume estimate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import arith, polys
-from .errors import ConfigError, IndexDivisorError, ResourceLimitError
+from .errors import IndexDivisorError, ResourceLimitError
 from .rng import philox
 
 _LATTICE_BUDGET = 10**8
@@ -105,17 +104,6 @@ def _mp_eval_mod(a: MPoly, cols: Sequence[np.ndarray], q: int) -> np.ndarray:
     return total
 
 
-def _mp_eval_int_arrays(a: MPoly, cols: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros(cols[0].shape, dtype=np.int64)
-    for expo, coef in a.items():
-        term = np.full(cols[0].shape, int(coef), dtype=np.int64)
-        for j, e in enumerate(expo):
-            for _ in range(e):
-                term = term * cols[j]
-        total = total + term
-    return total
-
-
 def _det_mpoly(mat: list[list[MPoly]]) -> MPoly:
     n = len(mat)
     if n == 1:
@@ -194,24 +182,6 @@ class NumberField:
         ov = tuple(sorted((int(p), tuple(tuple(x) for x in t)) for p, t in (overrides or {}).items()))
         return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name, overrides=ov)
 
-    def to_json(self) -> str:
-        data = {
-            "poly": list(self.poly),
-            "basis": "power",
-            "signature": list(self.signature),
-        }
-        if self.index is not None:
-            data["index"] = self.index
-        return json.dumps(data, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str, name: str = "field") -> "NumberField":
-        data = json.loads(text)
-        if data.get("basis", "power") != "power":
-            raise ConfigError("only power-basis field files are supported")
-        sig = tuple(data["signature"]) if "signature" in data else None
-        return cls.power_basis(data["poly"], index=data.get("index"), signature=sig, name=name)
-
 
 def field_presets() -> dict[str, NumberField]:
     return {
@@ -286,10 +256,10 @@ class NormForm:
         return _mp_eval_array(self.poly, pts)
 
     def eval_int_grid(self, cols: list[np.ndarray]) -> np.ndarray:
-        return _mp_eval_int_arrays(self.poly, cols)
+        return _mp_eval(self.poly, cols)
 
-    def min_abs_on_unit_sphere(self, grid: int = 201) -> float:
-        """min |N| over the sup-norm unit sphere, by dense grid sampling.
+    def min_abs_on_unit_sphere(self) -> float:
+        """min |N| over the sup-norm unit sphere, sampled on 201 points per axis.
 
         Zero for fields whose norm form vanishes on the sphere (any field
         with a real embedding); used only to bound representation search.
@@ -297,7 +267,7 @@ class NormForm:
         e = self.field.degree
         if self.field.signature[0] > 0:
             return 0.0
-        ax = np.linspace(-1.0, 1.0, grid)
+        ax = np.linspace(-1.0, 1.0, 201)
         best = math.inf
         # each face of the sphere: one coordinate pinned to +-1
         for j in range(e):
@@ -465,7 +435,7 @@ class RegionB:
     subtracting a Lipschitz margin for off-grid points.
     """
 
-    def __init__(self, norm: NormForm, sign: int, B: float, x1=None, kappa=None):
+    def __init__(self, norm: NormForm, sign: int, B: float):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if B < 1:
@@ -474,12 +444,10 @@ class RegionB:
         self.sign = sign
         self.B = float(B)
         e = norm.field.degree
-        self.x1 = tuple(float(v) for v in (x1 if x1 is not None else _basepoint(norm, sign)))
+        self.x1 = tuple(float(v) for v in _basepoint(norm, sign))
         if abs(norm.eval_float(np.array([self.x1]))[0] - sign / 2) > 1e-12:
             raise ValueError("basepoint does not hit sign/2")
-        self.coord, self.kappa, self.cert_inf = _certify_kappa(
-            norm, self.x1, kappa_start=kappa
-        )
+        self.coord, self.kappa, self.cert_inf = _certify_kappa(norm, self.x1)
         self._hist: Optional[dict[int, int]] = None
         lo, hi = _mp_box_range(norm.poly, self.x1, self.kappa)
         self.support = (lo * self.B**e, hi * self.B**e)
@@ -547,14 +515,14 @@ def _basepoint(norm: NormForm, sign: int) -> tuple[float, ...]:
     return tuple(scale * t for t in v)
 
 
-def _certify_kappa(norm: NormForm, x1, kappa_start=None):
+def _certify_kappa(norm: NormForm, x1):
     e = norm.field.degree
     g0 = [abs(float(v)) for v in norm.gradient(list(x1))]
     j = int(np.argmax(g0))
     target = g0[j] / 2
     if g0[j] == 0:
         raise ValueError("norm gradient vanishes at the basepoint")
-    kappa = float(kappa_start) if kappa_start else 0.25 * max(abs(v) for v in x1)
+    kappa = 0.25 * max(abs(v) for v in x1)
     grid_n = 32 if e <= 3 else 12
     for _ in range(60):
         R = max(abs(v) for v in x1) + kappa
@@ -606,11 +574,10 @@ class DensityProfile:
     half_width: float
 
     @classmethod
-    def draw(cls, region: RegionB, samples: int, seed: int, half_width=None) -> "DensityProfile":
+    def draw(cls, region: RegionB, samples: int, seed: int) -> "DensityProfile":
         if samples < 10**3:
             raise ValueError("need at least 1000 samples")
         e = region.norm.field.degree
-        h = float(half_width) if half_width else region.B**e / 200.0
         rng = philox(seed, "omega", samples)
         pts = rng.uniform(-1.0, 1.0, size=(samples, e)) * region.kappa + np.asarray(region.x1)
         vals = region.norm.eval_float(pts) * region.B**e
@@ -619,7 +586,7 @@ class DensityProfile:
             samples=samples,
             seed=seed,
             values=np.sort(vals),
-            half_width=h,
+            half_width=region.B**e / 200.0,
         )
 
     def estimate(self, y: float) -> tuple[float, float]:

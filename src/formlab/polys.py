@@ -39,19 +39,6 @@ def poly_eval(f: Sequence, x):
     return out
 
 
-def poly_mul(f: Sequence, g: Sequence) -> list:
-    f, g = trim(f), trim(g)
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim(out)
-
-
 def poly_deriv(f: Sequence) -> list:
     return trim([i * c for i, c in enumerate(f)][1:])
 

@@ -17,8 +17,8 @@ come from a per-call table of the primes up to sqrt(max |n|).  Only
 magnitudes >= 2**31 take the scalar _prime_power_base.  Every value is
 math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
 
-Also provides the exact pair count for divisibility of
-v1^a v2^b (v1^c - v2^c) by a prime power.
+Also provides the exact pair counts for divisibility of
+v1^a v2^b (v1^c - v2^c) by prime powers, many moduli at once.
 """
 
 from __future__ import annotations
@@ -128,16 +128,11 @@ class SieveTable:
             out[p] = e
         return out
 
-    def big_omega(self, n: int) -> int:
-        if n == 0:
-            raise ValueError("Omega undefined at 0")
-        return sum(self.factor(abs(n)).values())
-
     def liouville(self, n: int) -> int:
         """Completely multiplicative sign (-1)^Omega; 0 at 0, even in n."""
         if n == 0:
             return 0
-        return -1 if self.big_omega(abs(n)) % 2 else 1
+        return -1 if sum(self.factor(abs(n)).values()) % 2 else 1
 
     def mobius(self, n: int) -> int:
         if n < 1:
@@ -317,29 +312,11 @@ def build_sieve(bound: int) -> SieveTable:
     return SieveTable(bound)
 
 
-def gcd_divisibility_count(q: int, a: int, b: int, c: int, x: int) -> int:
-    """Exact #{(v1,v2) in [1,x]^2 : q | v1^a v2^b (v1^c - v2^c)}.
-
-    q must be a prime power; the x^2 enumeration is budget-capped.
-    """
-    _check_divisibility(q, a, b, c, x)
-    va = np.array([pow(v, a, q) for v in range(1, x + 1)], dtype=np.int64)
-    vb = np.array([pow(v, b, q) for v in range(1, x + 1)], dtype=np.int64)
-    vc = np.array([pow(v, c, q) for v in range(1, x + 1)], dtype=np.int64)
-    count = 0
-    chunk = max(1, _ENUM_BUDGET // (8 * x))
-    for i0 in range(0, x, chunk):
-        left = (va[i0 : i0 + chunk, None] * vb[None, :]) % q
-        diff = (vc[i0 : i0 + chunk, None] - vc[None, :]) % q
-        count += int(np.count_nonzero((left * diff) % q == 0))
-    return count
-
-
 def gcd_divisibility_counts(qs: Sequence[int], a: int, b: int, c: int, x: int) -> np.ndarray:
-    """gcd_divisibility_count at every prime power in qs, as int64 counts.
+    """Exact #{(v1,v2) in [1,x]^2 : q | v1^a v2^b (v1^c - v2^c)} per prime power q in qs.
 
-    The values v1^a v2^b (v1^c - v2^c) are evaluated once, exactly in
-    int64 (|value| < x^(a+b+c) < 2^63), and reduced mod each q.
+    The values are evaluated once, exactly in int64 (|value| < x^(a+b+c)
+    < 2^63), and reduced mod each q; the x^2 enumeration is budget-capped.
     """
     for q in qs:
         _check_divisibility(q, a, b, c, x)

@@ -50,9 +50,8 @@ def inst_of(field, coeffs) -> ch.ChateletInstance:
 def test_degree_divisibility_enforced(Qi, fields):
     with pytest.raises(ValueError):
         inst_of(Qi, [1, 1, 1, 1])  # d=3, e=2
-    cubic = inst_of(fields["cbrt2"], [1, 0, 0, 1])
-    assert cubic.power_ratio == 1
-    assert inst_of(Qi, [1, 0, 0, 0, 1]).power_ratio == 2
+    inst_of(fields["cbrt2"], [1, 0, 0, 1])
+    inst_of(Qi, [1, 0, 0, 0, 1])
 
 
 def test_in_S_membership(Qi):
@@ -568,11 +567,6 @@ def test_count_swapped_loop_order_identical(Qi, region40):
     inst = inst_of(Qi, [14, -9, 21])
     swapped = inst_of(Qi, [21, -9, 14])  # g(n, m)
     assert ch.count_Nc(inst, 40, region40) == ch.count_Nc(swapped, 40, region40)
-
-
-def test_count_rejects_mismatched_B(Qi, region40):
-    with pytest.raises(ValueError):
-        ch.count_Nc(inst_of(Qi, [1, 0, 1]), 10, region40, B=12.0)
 
 
 def test_value_table_overflow_guard(Qi):

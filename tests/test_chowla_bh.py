@@ -23,7 +23,6 @@ from formlab.chowla_bh import (
     bh_admissible,
     bh_correlation,
     chowla_block,
-    chowla_statistic,
     exponent_cap,
     is_irreducible,
     lambda_w,
@@ -72,6 +71,12 @@ def oracle_statistic(form, xs):
     return best, vals
 
 
+def one_row(form, scale, exponent, sieve, grid_size=16):
+    """(grid, statistic, trace) of one form, as a one-row block."""
+    block = chowla_block([form.coeffs], scale, exponent, sieve, grid_size)
+    return block.grid, float(block.statistic[0]), block.trace[0].tolist()
+
+
 def lambda_partial_sums(limit):
     out = [0] * (limit + 1)
     for n in range(1, limit + 1):
@@ -84,37 +89,37 @@ def lambda_partial_sums(limit):
 
 def test_worked_product_form_grid_all(sieve_small):
     # g = uv: the double sum factors into (sum of lambda(u))^2.
-    stat = chowla_statistic(BinaryForm([0, 1, 0]), 10**4, 0.13, sieve_small, grid_size="all")
+    grid, stat, trace = one_row(BinaryForm([0, 1, 0]), 10**4, 0.13, sieve_small, "all")
     lo = (10**4) ** 0.13
-    assert stat.grid[0] == pytest.approx(lo)
-    assert [x for x in stat.grid[1:]] == [4.0, 5.0, 6.0]
+    assert grid[0] == pytest.approx(lo)
+    assert [x for x in grid[1:]] == [4.0, 5.0, 6.0]
     M = lambda_partial_sums(6)
-    for x, val in stat.trace:
+    for x, val in zip(grid, trace):
         top = math.floor(x)
         assert val == pytest.approx(M[top] ** 2 / (x * x))
-    assert stat.statistic == pytest.approx(M[3] ** 2 / (lo * lo))
+    assert stat == pytest.approx(M[3] ** 2 / (lo * lo))
 
 
 def test_worked_linear_form(sieve_small):
     # g = u: statistic reduces to |sum of lambda(u)| / x at integer x.
-    stat = chowla_statistic(BinaryForm([1, 0]), 10**4, 0.25, sieve_small, grid_size="all")
+    grid, stat, trace = one_row(BinaryForm([1, 0]), 10**4, 0.25, sieve_small, "all")
     M = lambda_partial_sums(20)
-    for x, val in stat.trace:
+    for x, val in zip(grid, trace):
         if x == int(x):
             assert val == pytest.approx(abs(M[int(x)]) / x)
-    assert stat.statistic == max(v for _, v in stat.trace)
+    assert stat == max(trace)
 
 
 def test_worked_even_power_is_one(sieve_small):
     # g = v^2: every value is a square, lambda = 1, so the sup hits 1
     # exactly at integer grid points.
-    stat = chowla_statistic(BinaryForm([0, 0, 1]), 1000, 0.13, sieve_small, grid_size="all")
-    assert stat.statistic == pytest.approx(1.0)
+    _, stat, _ = one_row(BinaryForm([0, 0, 1]), 1000, 0.13, sieve_small, "all")
+    assert stat == pytest.approx(1.0)
 
 
 def test_zero_form_statistic_zero(sieve_small):
-    stat = chowla_statistic(BinaryForm([0, 0, 0]), 1000, 0.1, sieve_small, grid_size="all")
-    assert stat.statistic == 0.0
+    _, stat, _ = one_row(BinaryForm([0, 0, 0]), 1000, 0.1, sieve_small, "all")
+    assert stat == 0.0
 
 
 def test_statistic_matches_oracle_fuzz(sieve_1m):
@@ -127,14 +132,14 @@ def test_statistic_matches_oracle_fuzz(sieve_1m):
                 coeffs[0] = 1
             g = BinaryForm(coeffs)
             for grid in ("all", 16):
-                stat = chowla_statistic(g, H, c, sieve_1m, grid_size=grid)
-                best, vals = oracle_statistic(g, stat.grid)
-                assert stat.statistic == best
-                assert [got for _, got in stat.trace] == vals
-                assert 0.0 <= stat.statistic <= 1.0
+                xs, stat, trace = one_row(g, H, c, sieve_1m, grid)
+                best, vals = oracle_statistic(g, xs)
+                assert stat == best
+                assert trace == vals
+                assert 0.0 <= stat <= 1.0
             # the integer grid realizes the true sup over the window
-            s_all = chowla_statistic(g, H, c, sieve_1m, grid_size="all").statistic
-            s_16 = chowla_statistic(g, H, c, sieve_1m, grid_size=16).statistic
+            s_all = one_row(g, H, c, sieve_1m, "all")[1]
+            s_16 = one_row(g, H, c, sieve_1m, 16)[1]
             assert s_all >= s_16 - 1e-12
 
 
@@ -154,18 +159,17 @@ def test_statistic_exact_against_oracle(case, coeffs, grids):
     d, H, c = case
     g = BinaryForm(coeffs[: d + 1])
     first, other = grids
-    stat = chowla_statistic(g, H, c, _SIEVE_30, grid_size=first)
-    before = (list(stat.grid), list(stat.trace), stat.statistic)
-    assert isinstance(stat.grid, tuple)
-    assert [x for x, _ in stat.trace] == list(stat.grid)
-    best, vals = oracle_statistic(g, stat.grid)
-    assert stat.statistic == best
-    assert [v for _, v in stat.trace] == vals
+    block = chowla_block([g.coeffs], H, c, _SIEVE_30, first)
+    before = (block.grid, float(block.statistic[0]), block.trace[0].tolist())
+    assert isinstance(block.grid, tuple)
+    best, vals = oracle_statistic(g, block.grid)
+    assert before[1] == best
+    assert before[2] == vals
     # a later call with another grid leaves the earlier result as it was
-    later = chowla_statistic(g, H, c, _SIEVE_30, grid_size=other)
-    assert later.statistic == oracle_statistic(g, later.grid)[0]
-    assert (list(stat.grid), list(stat.trace), stat.statistic) == before
-    assert chowla_statistic(g, H, c, _SIEVE_30, grid_size=first) == stat
+    later = one_row(g, H, c, _SIEVE_30, other)
+    assert later[1] == oracle_statistic(g, later[0])[0]
+    assert (block.grid, float(block.statistic[0]), block.trace[0].tolist()) == before
+    assert one_row(g, H, c, _SIEVE_30, first) == before
 
 
 _WILD = st.integers(-(2**63), 2**63 - 1)
@@ -186,7 +190,7 @@ _WILD = st.integers(-(2**63), 2**63 - 1)
                                     [0] * 5], grid="all")  # 8 * (|c0| + |c1|) at 2^62 and below
 def test_block_matches_statistic_row_by_row(case, rows, grid):
     # a block mixing rows refused for overflow with computed rows equals
-    # chowla_statistic run row by row; values beyond the 30-entry sieve
+    # one-row blocks run row by row; values beyond the 30-entry sieve
     # take the scalar lambda path
     d, H, c = case
     rows = [r[: d + 1] for r in rows]
@@ -194,15 +198,14 @@ def test_block_matches_statistic_row_by_row(case, rows, grid):
     assert block.sums.shape == (len(rows), len(block.grid))
     stats, traces = block.statistic.tolist(), block.trace.tolist()
     for r, row in enumerate(rows):
+        alone = chowla_block([row], H, c, _SIEVE_30, grid)
+        assert alone.overflow[0] == block.overflow[r]
         if block.overflow[r]:
-            with pytest.raises(ResourceLimitError, match="overflow the int64 layer sums"):
-                chowla_statistic(BinaryForm(row), H, c, _SIEVE_30, grid)
+            assert not block.sums[r].any()
             continue
-        stat = chowla_statistic(BinaryForm(row), H, c, _SIEVE_30, grid)
-        assert block.grid == stat.grid
-        assert stats[r] == stat.statistic
-        assert traces[r] == [v for _, v in stat.trace]
-        assert list(zip(block.grid, traces[r])) == list(stat.trace)
+        assert block.grid == alone.grid
+        assert stats[r] == alone.statistic[0]
+        assert traces[r] == alone.trace[0].tolist()
 
 
 def test_block_guard_splits_evaluation(monkeypatch, sieve_small):
@@ -224,25 +227,25 @@ def test_block_budget_and_empty(sieve_small):
 
 
 def test_statistic_validation(sieve_small):
-    g = BinaryForm([1, 0, 1])
+    row = [[1, 0, 1]]
     with pytest.raises(ValueError):
-        chowla_statistic(g, 1000, 0.14, sieve_small)  # above 5/(19*2)
+        chowla_block(row, 1000, 0.14, sieve_small)  # above 5/(19*2)
     with pytest.raises(ValueError):
-        chowla_statistic(g, 1000, 0.0, sieve_small)
+        chowla_block(row, 1000, 0.0, sieve_small)
     with pytest.raises(ValueError):
-        chowla_statistic(g, 2, 0.1, sieve_small)
+        chowla_block(row, 2, 0.1, sieve_small)
     with pytest.raises(ValueError):
-        chowla_statistic(g, 1000, 0.1, sieve_small, grid_size=0)
+        chowla_block(row, 1000, 0.1, sieve_small, grid_size=0)
     assert exponent_cap(1) == pytest.approx(5 / 19)
 
 
 def test_default_grid_shape(sieve_small):
-    stat = chowla_statistic(BinaryForm([1, 0, 1]), 10**4, 0.1, sieve_small)
+    grid = chowla_block([[1, 0, 1]], 10**4, 0.1, sieve_small).grid
     lo = (10**4) ** 0.1
-    assert stat.grid[0] == pytest.approx(lo)
-    assert stat.grid[-1] == pytest.approx(2 * lo)
-    assert 16 <= len(stat.grid) <= 18
-    assert all(a < b for a, b in zip(stat.grid, stat.grid[1:]))
+    assert grid[0] == pytest.approx(lo)
+    assert grid[-1] == pytest.approx(2 * lo)
+    assert 16 <= len(grid) <= 18
+    assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_chowla_experiment_aggregation(tmp_path, sieve_small):
@@ -251,8 +254,7 @@ def test_chowla_experiment_aggregation(tmp_path, sieve_small):
                                                "seed": 5, "out": str(out)}))
     recs = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     cube = CombinatorialCube(degree=2, side=100)
-    stats = [chowla_statistic(cube.sample(5, i), 100, 0.13, sieve_small).statistic
-             for i in range(8)]
+    stats = [one_row(cube.sample(5, i), 100, 0.13, sieve_small)[1] for i in range(8)]
     assert [r["statistic"] for r in recs] == stats
     rows = dict(line.split(",", 1)
                 for line in (out / "summary.csv").read_text().splitlines()[1:])
@@ -429,8 +431,6 @@ def test_correlation_two_forms_oracle(sieve_small):
 
 def test_bh_result_consistency(sieve_small):
     res = bh_correlation([BinaryForm([1, 1])], 100, sieve_small)
-    assert res.deviation == pytest.approx(abs(res.correlation - float(res.series)))
-    assert res.deviation_w == pytest.approx(abs(float(res.cramer - res.series)))
     assert res.ratio == pytest.approx(res.correlation / float(res.series))
     assert isinstance(res.cramer, Fraction)
     assert isinstance(res.series, Fraction)

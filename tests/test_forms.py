@@ -317,9 +317,6 @@ def test_cube_uniform_frequency():
 def test_cube_determinism_and_json():
     cube = CombinatorialCube(3, 10, {1: 4})
     assert cube.sample(5, 77).coeffs == cube.sample(5, 77).coeffs
-    clone = CombinatorialCube.from_json(cube.to_json())
-    assert clone == cube
-    assert clone.sample(5, 77).coeffs == cube.sample(5, 77).coeffs
 
 
 def _fresh_draw(cube, seed, i):
@@ -381,4 +378,3 @@ def test_form_product_and_json():
     want = sympy.expand((u**2 + v**2) * u * v)
     got = sum(c * u ** (prod.degree - i) * v**i for i, c in enumerate(prod.coeffs))
     assert sympy.expand(got - want) == 0
-    assert BinaryForm.from_json(f.to_json()) == f

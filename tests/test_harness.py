@@ -64,6 +64,8 @@ def test_misc_validation():
     with pytest.raises(ConfigError):
         harness.make_config("bh", {"anchor": "sideways"})
     assert harness.make_config("bh", {"anchor": "true"}).anchor is True
+    # the anchor record reads no draw, so no irreducibility test caps d
+    assert harness.make_config("bh", {"d": 4, "anchor": True}).d == 4
 
 
 def test_config_file_parsing(tmp_path):
@@ -328,15 +330,14 @@ def test_chowla_records_match_row_by_row():
     state = harness._state_for(cfg)
     for i, rec in enumerate(recs):
         form = state["cube"].sample(cfg.seed, i)
-        try:
-            stat = chowla_bh.chowla_statistic(form, cfg.H, cfg.c, state["sieve"], cfg.grid)
-        except ResourceLimitError as exc:
-            assert rec == {"record": "error", "index": i, "error": str(exc),
+        alone = chowla_bh.chowla_block([form.coeffs], cfg.H, cfg.c, state["sieve"], cfg.grid)
+        if alone.overflow[0]:
+            assert rec == {"record": "error", "index": i, "error": chowla_bh.OVERFLOW,
                            "statistic": None, "H": cfg.H}
             continue
         assert rec == {"record": "sample", "index": i, "coeffs": list(form.coeffs),
-                       "statistic": stat.statistic, "H": cfg.H,
-                       "window": [stat.grid[0], stat.grid[-1]]}
+                       "statistic": alone.statistic[0], "H": cfg.H,
+                       "window": [alone.grid[0], alone.grid[-1]]}
     assert {r["record"] for r in recs} == {"error", "sample"}
 
 
@@ -349,8 +350,8 @@ def test_chowla_budget_error_for_every_index():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_block_failure_names_kind_and_range(workers):
-    # the statistic refuses H < 3, which the config accepts
-    cfg = harness.make_config("chowla", {"H": 2, "samples": 5, "workers": workers})
+    # the statistic refuses H < 3; built directly, the config skips validation
+    cfg = harness.ExperimentConfig(kind="chowla", H=2, samples=5, workers=workers)
     with pytest.raises(RecordError,
                        match=r"chowla records 0\.\.\d+: ValueError: scale must be >= 3") as info:
         harness.compute_records(cfg)
@@ -598,13 +599,19 @@ def test_cli_hasse_banner(tmp_path, capsys):
     ]
 
 
-def test_cli_config_error_exit_two(tmp_path, capsys):
-    code = cli.main(["chowla", "--c", "0.5", "--samples", "1",
-                     "--out", str(tmp_path / "x")])
+@pytest.mark.parametrize("argv", [
+    ["chowla", "--c", "0.5"],
+    ["chowla", "--H", "2"],
+    ["chowla", "--grid", "0"],
+    ["bh", "--d", "4"],
+], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4"])
+def test_cli_config_error_exit_two(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--samples", "1", "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "config"
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_kind_mismatch_in_config_file(tmp_path, capsys):

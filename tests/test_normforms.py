@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab import arith, normforms as nf
-from formlab.errors import ConfigError, IndexDivisorError, ResourceLimitError
+from formlab.errors import IndexDivisorError, ResourceLimitError
 from formlab.rng import philox
 
 
@@ -103,16 +103,6 @@ def test_multiplication_table_gaussian(presets):
     gi = presets["gaussian"]
     # i * i = -1
     assert gi.table[1][1] == (-1, 0)
-
-
-def test_json_round_trip(presets):
-    for f in presets.values():
-        g = nf.NumberField.from_json(f.to_json(), name=f.name)
-        assert g.poly == f.poly
-        assert g.signature == f.signature
-        assert g.index == f.index
-    with pytest.raises(ConfigError):
-        nf.NumberField.from_json('{"poly": [1,0,1], "basis": {"table": []}}')
 
 
 # --- norm form ---------------------------------------------------------

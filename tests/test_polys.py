@@ -20,6 +20,15 @@ def _random_poly(rng, deg, lim=9):
     return f + [lead]
 
 
+def _product(f, g):
+    """Product of ascending coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def test_divmod_matches_sympy():
     rng = random.Random(5)
     for _ in range(50):
@@ -59,7 +68,7 @@ def test_resultant_classical_convention():
         h = _random_poly(rng, rng.randint(1, 3))
         m, n = polys.degree(f), polys.degree(g)
         assert polys.sylvester_resultant(f, g) == (-1) ** (m * n) * polys.sylvester_resultant(g, f)
-        assert polys.sylvester_resultant(polys.poly_mul(f, h), g) == polys.sylvester_resultant(
+        assert polys.sylvester_resultant(_product(f, h), g) == polys.sylvester_resultant(
             f, g
         ) * polys.sylvester_resultant(h, g)
 
@@ -97,8 +106,8 @@ def test_real_root_isolation_counts():
 
 def test_squarefree_part():
     # (t-1)^2 (t+2) -> (t-1)(t+2)
-    f = polys.poly_mul(polys.poly_mul([-1, 1], [-1, 1]), [2, 1])
-    assert polys.squarefree_part(f) == polys.poly_mul([-1, 1], [2, 1])
+    f = _product(_product([-1, 1], [-1, 1]), [2, 1])
+    assert polys.squarefree_part(f) == _product([-1, 1], [2, 1])
 
 
 def test_factor_shape_matches_sympy():

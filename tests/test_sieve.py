@@ -261,22 +261,24 @@ def test_load_rejects_garbage(tmp_path):
 
 # -- prime power pair counts ---------------------------------------------------
 
-def oracle_pair_count(q, a, b, c, x):
-    count = 0
+def oracle_pair_count(qs, a, b, c, x):
+    """Per q in qs, the pairs with q | v1^a v2^b (v1^c - v2^c); each value computed once."""
+    counts = [0] * len(qs)
     for v1 in range(1, x + 1):
         for v2 in range(1, x + 1):
-            if (v1**a * v2**b * (v1**c - v2**c)) % q == 0:
-                count += 1
-    return count
+            value = v1**a * v2**b * (v1**c - v2**c)
+            for j, q in enumerate(qs):
+                counts[j] += value % q == 0
+    return counts
 
 
 def test_pair_count_worked_examples():
     # (2,2) gives product 0 and (1,1) gives 0 as well: both divisible by 4.
-    assert sv.gcd_divisibility_count(4, 1, 1, 1, 2) == 2
-    assert oracle_pair_count(4, 1, 1, 1, 2) == 2
-    assert sv.gcd_divisibility_count(2, 1, 1, 1, 1) == 1
-    got = sv.gcd_divisibility_count(9, 1, 1, 2, 30)
-    assert got == oracle_pair_count(9, 1, 1, 2, 30)
+    assert sv.gcd_divisibility_counts([4], 1, 1, 1, 2)[0] == 2
+    assert oracle_pair_count([4], 1, 1, 1, 2) == [2]
+    assert sv.gcd_divisibility_counts([2], 1, 1, 1, 1)[0] == 1
+    got = sv.gcd_divisibility_counts([9], 1, 1, 2, 30)[0]
+    assert [got] == oracle_pair_count([9], 1, 1, 2, 30)
 
 
 def test_pair_count_random_oracle():
@@ -285,9 +287,9 @@ def test_pair_count_random_oracle():
         q = int(rng.choice([2, 3, 4, 5, 8, 9, 25, 27, 49]))
         a, b, c = (int(v) for v in rng.integers(1, 4, size=3))
         x = int(rng.integers(1, 25))
-        want = oracle_pair_count(q, a, b, c, x)
-        assert sv.gcd_divisibility_count(q, a, b, c, x) == want
-        assert sv.gcd_divisibility_counts([q, 2], a, b, c, x)[0] == want
+        want = oracle_pair_count([q, 2], a, b, c, x)
+        assert sv.gcd_divisibility_counts([q], a, b, c, x)[0] == want[0]
+        assert sv.gcd_divisibility_counts([q, 2], a, b, c, x).tolist() == want
 
 
 def test_pair_counts_batch_matches_scalar():
@@ -295,16 +297,16 @@ def test_pair_counts_batch_matches_scalar():
     qs = [2, 3, 4, 7, 64, 243, 625, 2401, 4096, 6561, 9973]
     for a, b, c in ((1, 1, 1), (2, 1, 2), (2, 2, 2)):
         got = sv.gcd_divisibility_counts(qs, a, b, c, 200)
-        assert got.tolist() == [sv.gcd_divisibility_count(q, a, b, c, 200) for q in qs]
+        assert got.tolist() == oracle_pair_count(qs, a, b, c, 200)
 
 
 def test_pair_count_validation():
     with pytest.raises(ValueError):
-        sv.gcd_divisibility_count(6, 1, 1, 1, 10)  # not a prime power
+        sv.gcd_divisibility_counts([6], 1, 1, 1, 10)  # not a prime power
     with pytest.raises(ValueError):
-        sv.gcd_divisibility_count(4, 0, 1, 1, 10)
+        sv.gcd_divisibility_counts([4], 0, 1, 1, 10)
     with pytest.raises(ValueError):
-        sv.gcd_divisibility_count(4, 1, 1, 1, 10**5)  # budget
+        sv.gcd_divisibility_counts([4], 1, 1, 1, 10**5)  # budget
     with pytest.raises(ValueError):
         sv.gcd_divisibility_counts([4, 6], 1, 1, 1, 10)  # not a prime power
     with pytest.raises(ValueError):
@@ -315,10 +317,9 @@ def test_pair_count_lemma_shape():
     # count * q^(1/(2 max)) / x^2 bounded uniformly over prime powers.
     x = 60
     worst = 0.0
-    for q in [p**e for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3) if p**e <= 1000]:
-        for abc in ((1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)):
-            a, b, c = abc
-            count = sv.gcd_divisibility_count(q, a, b, c, x)
+    qs = [p**e for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3) if p**e <= 1000]
+    for abc in ((1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)):
+        for q, count in zip(qs, sv.gcd_divisibility_counts(qs, *abc, x).tolist()):
             ratio = count * q ** (1 / (2 * max(abc))) / x**2
             worst = max(worst, ratio)
     assert worst <= 3.5, worst
