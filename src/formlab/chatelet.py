@@ -476,16 +476,9 @@ def _represent_by_norm(
     if instance.field.poly == (1, 0, 1):
         if not budget.spend(max(1, round(math.log(abs(val) + 2)))):
             return None
-        rep = two_squares(val)
-        return rep if rep is not None else None
-    if instance.field.totally_imaginary:
-        floor = norm.min_abs_on_unit_sphere()
-        radius = math.ceil((abs(val) / floor) ** (1 / e)) if floor > 0 else 0
-    else:
-        # indefinite norm: no sound radius exists; search a heuristic box
-        radius = math.ceil(abs(val) ** (1 / e)) * 3 + 3
-    if radius <= 0:
-        return None
+        return two_squares(val)
+    # a heuristic box: a hit is checked exactly by the caller, a miss proves nothing
+    radius = math.ceil(abs(val) ** (1 / e)) * 3 + 3
     axis = np.arange(-radius, radius + 1, dtype=np.int64)
     count = (2 * radius + 1) ** e
     if not budget.spend(count):

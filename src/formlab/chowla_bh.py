@@ -62,7 +62,6 @@ class ChowlaBlock:
     """The window statistic of many forms of one degree at one (H, c)."""
 
     grid: tuple[float, ...]  # window points x, ascending
-    floors: tuple[int, ...]  # min(floor(x), top) per grid point
     sums: np.ndarray  # (F, len(grid)) int64: S(floor x), the sum over [1, floor x]^2
     overflow: np.ndarray  # (F,) bool: rows refused because their values overflow int64
 
@@ -125,7 +124,7 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
     for part in (ok[r0 : r0 + step] for r0 in range(0, len(ok), step)):
         lam = sieve.liouville_values(form_grid(rows[part], axis, axis))
         sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)[:, cols]
-    return ChowlaBlock(grid=xs, floors=floors, sums=sums, overflow=overflow)
+    return ChowlaBlock(grid=xs, sums=sums, overflow=overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +169,14 @@ class WTrick:
     density: Fraction  # W / phi(W)
 
     @classmethod
-    def from_cutoff(cls, cutoff: float) -> "WTrick":
-        ps = arith.primes(int(cutoff))
+    def for_x(cls, x: float) -> "WTrick":
+        """W over the primes up to the local product's cutoff, series_cutoff(x)."""
         W = 1
         phi = 1
-        for p in ps:
+        for p in arith.primes(series_cutoff(x)):
             W *= p
             phi *= p - 1
         return cls(modulus=W, density=Fraction(W, phi))
-
-    @classmethod
-    def for_x(cls, x: float) -> "WTrick":
-        if x < 3:
-            raise ValueError("x must be at least 3")
-        return cls.from_cutoff(math.exp(math.sqrt(math.log(x))))
 
 
 def lambda_w(n: int, W: int) -> Fraction:
@@ -239,8 +232,8 @@ def bh_correlation(forms: Sequence[BinaryForm], x: int, sieve: SieveTable) -> BH
     replaces each factor by the exact coprimality weight, so it is a
     rational number: density^r * #{coprime-to-W value tuples} / x^2.
     """
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    if x < 3:
+        raise ValueError("x must be at least 3")
     forms = tuple(forms)
     trick = WTrick.for_x(x)
     series = singular_series(forms, x)

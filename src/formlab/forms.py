@@ -293,28 +293,16 @@ def zero_count_bound_check(
 
 @dataclass(frozen=True)
 class CombinatorialCube:
-    """Coefficient box [-H, H]^(d+1) with some coordinates frozen."""
+    """Coefficient box [-H, H]^(d+1): every coordinate drawn uniformly."""
 
     degree: int
     side: int
-    fixed: tuple[tuple[int, int], ...] = ()
 
-    def __init__(self, degree: int, side: int, fixed: Optional[dict[int, int]] = None):
-        if degree < 1:
+    def __post_init__(self):
+        if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if side < 0:
+        if self.side < 0:
             raise ValueError("side length must be >= 0")
-        items = tuple(sorted((int(i), int(v)) for i, v in (fixed or {}).items()))
-        for i, v in items:
-            if not 0 <= i <= degree:
-                raise ValueError(f"fixed index {i} out of range")
-            if abs(v) > side:
-                raise ValueError(f"fixed value {v} outside [-H, H]")
-        if len({i for i, _ in items}) != len(items):
-            raise ValueError("duplicate fixed index")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "fixed", items)
 
     def sample(self, seed: int, index: int) -> BinaryForm:
         """Uniform draw; depends only on (seed, index), not draw order."""
@@ -323,14 +311,9 @@ class CombinatorialCube:
     def sample_rows(self, seed: int, indices) -> np.ndarray:
         """The draws at `indices` as (n, d+1) int64 coefficient rows.
 
-        Each draw's free coordinates, in index order, are one `integers`
-        call on its own Philox stream (seed, "cube", index).
+        Each draw is one `integers` call for all d+1 coordinates, in
+        index order, on its own Philox stream (seed, "cube", index).
         """
-        fixed = dict(self.fixed)
-        free = [i for i in range(self.degree + 1) if i not in fixed]
-        lo, hi, n = -self.side, self.side + 1, len(free)
+        lo, hi, n = -self.side, self.side + 1, self.degree + 1
         draws = [rng.integers(lo, hi, size=n) for rng in philox_each(seed, "cube", indices=indices)]
-        rows = np.empty((len(draws), self.degree + 1), dtype=np.int64)
-        rows[:, free] = np.reshape(draws, (len(draws), n))
-        rows[:, list(fixed)] = list(fixed.values())
-        return rows
+        return np.reshape(np.array(draws, dtype=np.int64), (len(draws), n))

@@ -9,8 +9,9 @@ derived from that registry.
 Every sample record is a pure function of (config, index).  Records are
 computed in contiguous blocks of indices, in this process or in a pool,
 and the single writer emits canonical JSON in index order, so the result
-byte stream is identical for any worker count and any scheduling.  Heavy shared state (sieve table, region histogram, the MC
-profile) is built once in the parent before the pool forks.
+byte stream is identical for any worker count and any scheduling.  Heavy
+shared state (sieve table, region histogram, the MC profile) is built once
+in the parent before the pool forks.
 """
 
 from __future__ import annotations
@@ -251,8 +252,8 @@ def _chowla_summary(records: list[dict]) -> list[tuple]:
 
 def _validate_bh(cfg: ExperimentConfig) -> None:
     _check_scale_exponent(cfg)
-    if cfg.x < 2:
-        raise ConfigError("x must be at least 2")
+    if cfg.x < 3:
+        raise ConfigError("x must be at least 3")
     if cfg.r < 1:
         raise ConfigError("r must be at least 1")
     if not 0 <= cfg.min_series:
@@ -341,7 +342,7 @@ def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
     if B is None:
         probe = chatelet.ChateletInstance(field=field, form=BinaryForm([1] * (cfg.d + 1)))
         B = chatelet.default_B(probe, cfg.x, cfg.H)
-    region = RegionB(NormForm(field), 1, B)
+    region = RegionB(NormForm(field), B)
     region.histogram()
     return {
         "field": field,
@@ -794,10 +795,13 @@ def summarize(path: str | Path) -> dict:
     """Quantile table of the record statistics plus exceptional fractions.
 
     Malformed lines are counted, never fatal; a final line without a
-    newline is treated as a truncated write and dropped.
+    newline is treated as a truncated write and dropped.  A path that
+    cannot be read raises ConfigError.
     """
-    path = Path(path)
-    text = path.read_text() if path.exists() else ""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read results file: {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] != "":
         lines = lines[:-1]  # truncated tail
@@ -1058,7 +1062,7 @@ def _lemma_checks() -> list[CheckResult]:
     out.append(_check("lemmas", "hensel-density-floor", hensel_bound))
 
     def omega_support() -> str:
-        region = RegionB(NormForm(Qi), 1, 6.0)
+        region = RegionB(NormForm(Qi), 6.0)
         prof = DensityProfile.draw(region, 5000, 3)
         lo, hi = region.support
         est_out, _ = prof.estimate(hi + prof.half_width + 1.0)

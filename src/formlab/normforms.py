@@ -126,9 +126,10 @@ class NumberField:
     """Degree-e field given by a monic defining polynomial and a basis table.
 
     table[i][j][k] is the k-th coordinate of (basis_i * basis_j); the first
-    basis element must be 1.  The index of the basis order in the maximal
-    order gates which primes admit splitting data from plain polynomial
-    factorization.
+    basis element must be 1.  The signature (r1, r2) is computed from the
+    real roots of the polynomial.  The index of the basis order in the
+    maximal order gates which primes admit splitting data from plain
+    polynomial factorization.
     """
 
     poly: tuple[int, ...]  # ascending, monic
@@ -136,7 +137,6 @@ class NumberField:
     signature: tuple[int, int]
     index: Optional[int] = None
     name: str = "field"
-    overrides: tuple = ()  # ((p, ((f, e), ...)), ...)
 
     @property
     def degree(self) -> int:
@@ -151,9 +151,7 @@ class NumberField:
         cls,
         poly: Sequence[int],
         index: Optional[int] = None,
-        signature: Optional[tuple[int, int]] = None,
         name: str = "field",
-        overrides: Optional[dict] = None,
     ) -> "NumberField":
         poly = tuple(int(c) for c in poly)
         e = len(poly) - 1
@@ -177,10 +175,7 @@ class NumberField:
             table.append(tuple(row))
         r1 = len(polys.isolate_real_roots(list(poly)))
         sig = (r1, (e - r1) // 2)
-        if signature is not None and tuple(signature) != sig:
-            raise ValueError(f"declared signature {signature} but computed {sig}")
-        ov = tuple(sorted((int(p), tuple(tuple(x) for x in t)) for p, t in (overrides or {}).items()))
-        return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name, overrides=ov)
+        return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name)
 
 
 def field_presets() -> dict[str, NumberField]:
@@ -258,33 +253,6 @@ class NormForm:
     def eval_int_grid(self, cols: list[np.ndarray]) -> np.ndarray:
         return _mp_eval(self.poly, cols)
 
-    def min_abs_on_unit_sphere(self) -> float:
-        """min |N| over the sup-norm unit sphere, sampled on 201 points per axis.
-
-        Zero for fields whose norm form vanishes on the sphere (any field
-        with a real embedding); used only to bound representation search.
-        """
-        e = self.field.degree
-        if self.field.signature[0] > 0:
-            return 0.0
-        ax = np.linspace(-1.0, 1.0, 201)
-        best = math.inf
-        # each face of the sphere: one coordinate pinned to +-1
-        for j in range(e):
-            rest = [ax] * (e - 1)
-            mesh = np.meshgrid(*rest, indexing="ij") if e > 1 else []
-            pts = np.empty((ax.size ** (e - 1), e))
-            col = 0
-            for t in range(e):
-                if t == j:
-                    pts[:, t] = 1.0
-                else:
-                    pts[:, t] = mesh[col].ravel()
-                    col += 1
-            vals = np.abs(self.eval_float(pts))
-            best = min(best, float(vals.min()))
-        return best
-
 
 # ---------------------------------------------------------------------------
 # Splitting data and Dedekind coefficients.
@@ -293,20 +261,18 @@ class NormForm:
 def splitting_type(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     """Residue degrees and ramification indices (f_i, e_i) above p.
 
-    Valid via factorization of the defining polynomial only when p does
-    not divide the index of the power order; declared overrides win.
+    Read from the factorization of the defining polynomial mod p, valid
+    only when p does not divide the index of the power order; a p that
+    may divide it raises IndexDivisorError.
     Memoized per (field, p): the result is an immutable tuple.
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for q, t in field.overrides:
-        if q == p:
-            return t
     if field.index is None:
         disc = polys.discriminant(list(field.poly))
         if disc % (p * p) == 0:
             raise IndexDivisorError(
-                f"p={p} may divide the basis-order index; supply an override"
+                f"p={p} may divide the basis-order index; declare the index"
             )
     elif field.index % p == 0:
         raise IndexDivisorError(f"p={p} divides the declared index {field.index}")
@@ -428,25 +394,23 @@ def gamma_many(field: NumberField, q: int, residues: np.ndarray) -> np.ndarray:
 # Certified box regions and lattice counting.
 
 class RegionB:
-    """Box |x - x1| < kappa (sup norm) with N(x1) = sign/2, scaled by B.
+    """Box |x - x1| < kappa (sup norm) with N(x1) = 1/2, scaled by B.
 
-    Certification: on a 32^e grid over the closed box, some partial
-    derivative of N stays at least half its basepoint magnitude after
-    subtracting a Lipschitz margin for off-grid points.
+    The basepoint is x1 = (2^(-1/e), 0, ..., 0).  Certification: on a
+    32^e grid over the closed box, some partial derivative of N stays at
+    least half its basepoint magnitude after subtracting a Lipschitz
+    margin for off-grid points.
     """
 
-    def __init__(self, norm: NormForm, sign: int, B: float):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def __init__(self, norm: NormForm, B: float):
         if B < 1:
             raise ValueError("scale B must be >= 1")
         self.norm = norm
-        self.sign = sign
         self.B = float(B)
         e = norm.field.degree
-        self.x1 = tuple(float(v) for v in _basepoint(norm, sign))
-        if abs(norm.eval_float(np.array([self.x1]))[0] - sign / 2) > 1e-12:
-            raise ValueError("basepoint does not hit sign/2")
+        self.x1 = (2.0 ** (-1 / e),) + (0.0,) * (e - 1)
+        if abs(norm.eval_float(np.array([self.x1]))[0] - 0.5) > 1e-12:
+            raise ValueError("basepoint does not hit 1/2")
         self.coord, self.kappa, self.cert_inf = _certify_kappa(norm, self.x1)
         self._hist: Optional[dict[int, int]] = None
         lo, hi = _mp_box_range(norm.poly, self.x1, self.kappa)
@@ -485,34 +449,6 @@ class RegionB:
         uniq, cnt = np.unique(vals.ravel(), return_counts=True)
         self._hist = {int(u): int(c) for u, c in zip(uniq, cnt)}
         return self._hist
-
-
-def _basepoint(norm: NormForm, sign: int) -> tuple[float, ...]:
-    e = norm.field.degree
-    if sign == 1:
-        return tuple([2.0 ** (-1 / e)] + [0.0] * (e - 1))
-    if norm.field.totally_imaginary:
-        raise ValueError("norm form is nonnegative; no negative-sign region exists")
-    # box search for a lattice vector of negative norm, then rescale
-    best = None
-    for radius in range(1, 21):
-        rng_axes = range(-radius, radius + 1)
-        stack = [[]]
-        for _ in range(e):
-            stack = [s + [v] for s in stack for v in rng_axes]
-        for v in stack:
-            if max(abs(t) for t in v) != radius:
-                continue
-            val = norm.eval_det(v)
-            if val < 0 and (best is None or abs(val) < abs(best[1])):
-                best = (v, val)
-        if best is not None:
-            break
-    if best is None:
-        raise ValueError("no negative-norm lattice vector found in the search box")
-    v, val = best
-    scale = (2.0 * abs(val)) ** (-1 / e)
-    return tuple(scale * t for t in v)
 
 
 def _certify_kappa(norm: NormForm, x1):

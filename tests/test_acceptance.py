@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,7 +308,7 @@ def test_c07_hensel_floor():
 
 def test_c08_archimedean_density():
     field = nf.field_presets()["gaussian"]
-    region = nf.RegionB(nf.NormForm(field), 1, 12.0)
+    region = nf.RegionB(nf.NormForm(field), 12.0)
     profile = nf.DensityProfile.draw(region, 10**5, 11)
     lo, hi = region.support
     h = profile.half_width

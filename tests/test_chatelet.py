@@ -524,7 +524,7 @@ def test_euler_product_unit_xi_at_two(Qi):
 
 @pytest.fixture(scope="module")
 def region40(Qi):
-    r = RegionB(NormForm(Qi), 1, math.sqrt(50) * 40)
+    r = RegionB(NormForm(Qi), math.sqrt(50) * 40)
     r.histogram()
     return r
 

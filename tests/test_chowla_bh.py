@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from formlab import chowla_bh, harness
 from formlab.arith import primes
 from formlab.chowla_bh import (
-    BHResult,
     WTrick,
     accepted_draw_index,
     bh_admissible,
@@ -377,8 +376,10 @@ def test_wtrick_worked():
     t = WTrick.for_x(300)
     assert t.modulus == 210
     assert t.density == Fraction(35, 8)
-    assert WTrick.from_cutoff(10.9).modulus == 210
-    assert WTrick.from_cutoff(2).modulus == 2
+    assert WTrick.for_x(310).modulus == 210  # cutoff exp(sqrt(log 310)) = 10.97
+    assert WTrick.for_x(3).modulus == 2  # cutoff 2.85
+    with pytest.raises(ValueError):
+        WTrick.for_x(2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@
 import argparse
 import hashlib
 import json
-import math
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.strategies import fixed_dictionaries
 
 from formlab import chowla_bh, cli, harness
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
@@ -102,7 +100,7 @@ def test_config_hash_stable():
 # ---------------------------------------------------------------------------
 # The protocol registry.
 
-# every ExperimentConfig default, and each kind's overrides of it, as they
+# every ExperimentConfig default, and each kind's departures from it, as they
 # stood before config, CLI and defaults were derived from the registry
 _BASE_DEFAULTS = {
     "field": "gaussian", "d": 2, "H": 100, "c": 0.05, "x": 300, "r": 1, "samples": 50,
@@ -168,7 +166,7 @@ def _config_or_error(kind: str, settings: dict):
 def test_cli_argv_matches_make_config(kind, data):
     # the same config, or the same config error, whichever way the settings arrive
     names = harness.PROTOCOLS[kind].fields + harness.COMMON_FIELDS
-    chosen = data.draw(st.fixed_dictionaries(
+    chosen = data.draw(fixed_dictionaries(
         {}, optional={n: _FIELD_VALUES.get(n, st.integers(2, 60)) for n in names}
     ))
     argv = [kind]
@@ -604,7 +602,9 @@ def test_cli_hasse_banner(tmp_path, capsys):
     ["chowla", "--H", "2"],
     ["chowla", "--grid", "0"],
     ["bh", "--d", "4"],
-], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4"])
+    ["bh", "--x", "2"],
+    ["bh", "--anchor", "--x", "2"],
+], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2"])
 def test_cli_config_error_exit_two(tmp_path, capsys, argv):
     code = cli.main(argv + ["--samples", "1", "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
@@ -649,6 +649,12 @@ def test_cli_summarize_json(tmp_path, capsys):
     assert cli.main(["summarize", str(p)]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["count"] == 1
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_cli_summarize_unreadable_path(tmp_path, capsys, name):
+    assert cli.main(["summarize", str(tmp_path / name)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_cli_run_prints_mdk_flag(tmp_path, capsys):
