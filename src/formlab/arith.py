@@ -1,7 +1,8 @@
 """Integer arithmetic primitives: primality, factorization, small sieves.
 
-Everything here is exact and deterministic.  is_prime is Miller-Rabin
-with the first 13 prime bases, which proves primality below
+Everything here is exact and deterministic.  is_prime trial-divides by
+the primes up to 37, which decides every n < 41^2; above that it is
+Miller-Rabin with the first 13 prime bases, which proves primality below
 psi_13 ~ 3.3e24 (Sorenson-Webster); above that bound it is a fixed-base
 probable-prime test.  factorize splits composites by Pollard-Brent rho,
 so its factors are proven prime below psi_13 and fixed-base probable
@@ -36,6 +37,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor <= 37, so no composite below 41^2
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

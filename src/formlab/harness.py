@@ -218,22 +218,33 @@ def _chowla_sieve_bound(cfg: ExperimentConfig) -> int:
 
 
 def _chowla_state(cfg: ExperimentConfig) -> dict:
+    lo = float(cfg.H) ** cfg.c
+    grid, _ = chowla_bh._chowla_grid(lo, 2.0 * lo, cfg.grid)
     return {
         "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
         "sieve": sieve_mod.build_sieve(_chowla_sieve_bound(cfg)),
+        # rows per chowla_block call, so its (rows, grid points) sums and
+        # trace hold about _EVAL_BLOCK entries however large the grid
+        "part_rows": max(1, forms._EVAL_BLOCK // len(grid)),
     }
 
 
 def _chowla_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
     rows = state["cube"].sample_rows(cfg.seed, block)
+    step = state["part_rows"]
+    stats, overflow = [], []
     try:
-        stats = chowla_bh.chowla_block(rows, cfg.H, cfg.c, state["sieve"], cfg.grid)
+        for r0 in range(0, len(rows), step):
+            part = chowla_bh.chowla_block(rows[r0 : r0 + step], cfg.H, cfg.c,
+                                          state["sieve"], cfg.grid)
+            stats.append(part.statistic)
+            overflow.append(part.overflow)
     except ResourceLimitError as exc:
         return [_error_record(cfg, i, str(exc)) for i in block]
-    lo, hi = float(stats.grid[0]), float(stats.grid[-1])
+    lo, hi = float(part.grid[0]), float(part.grid[-1])
     out = []
     for i, coeffs, stat, over in zip(
-        block, rows.tolist(), stats.statistic.tolist(), stats.overflow.tolist()
+        block, rows.tolist(), np.concatenate(stats).tolist(), np.concatenate(overflow).tolist()
     ):
         if over:
             out.append(_error_record(cfg, i, chowla_bh.OVERFLOW))
@@ -967,17 +978,24 @@ def _lemma_checks() -> list[CheckResult]:
 
     def gcd_bound() -> str:
         rng = philox(7, "gcdlemma")
-        for _ in range(10**4):
-            d = int(rng.integers(2, 5))
-            coeffs = [int(v) for v in rng.integers(-30, 31, size=d + 1)]
-            if coeffs[0] * coeffs[-1] == 0:
-                continue
-            m = int(rng.integers(1, 5000))
-            n = int(rng.integers(1, 5000))
-            l = int(rng.integers(1, d + 1))
-            k = int(rng.integers(0, l))
-            res = forms.gcd_bound_check(BinaryForm(coeffs), m, n, k, l)
-            assert res.holds, (coeffs, m, n, k, l)
+        size = 10**4
+        # one array draw per quantity; row i keeps the first d_i + 1 coefficients
+        ds = rng.integers(2, 5, size=size)
+        block = rng.integers(-30, 31, size=(size, 5))
+        ms = rng.integers(1, 5000, size=size)
+        ns = rng.integers(1, 5000, size=size)
+        ls = rng.integers(1, ds + 1)
+        ks = rng.integers(0, ls)
+        for lo in range(0, size, 1000):  # a few rows of Python ints at a time
+            part = slice(lo, lo + 1000)
+            for d, row, m, n, k, l in zip(ds[part].tolist(), block[part].tolist(),
+                                          ms[part].tolist(), ns[part].tolist(),
+                                          ks[part].tolist(), ls[part].tolist()):
+                coeffs = row[: d + 1]
+                if coeffs[0] * coeffs[-1] == 0:
+                    continue
+                res = forms.gcd_bound_check(BinaryForm(coeffs), m, n, k, l)
+                assert res.holds, (coeffs, m, n, k, l)
         return "10^4 fuzzed gcd bounds hold"
 
     out.append(_check("lemmas", "gcd-bound-fuzz", gcd_bound))

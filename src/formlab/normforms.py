@@ -332,13 +332,19 @@ class DedekindLocal:
         return self.r_tilde(j, k_trunc) - self.r_tilde(j - 1, k_trunc)
 
 
+@lru_cache(maxsize=4096)
+def _local_b(field: NumberField, p: int, j: int, k_trunc: int) -> Fraction:
+    """b(p^j) at truncation k_trunc, memoized: an immutable Fraction."""
+    return DedekindLocal.build(field, p).b(j, k_trunc)
+
+
 def b_coeff(field: NumberField, k: int, k_trunc: int) -> Fraction:
     """Multiplicative extension of the per-prime-power b values."""
     if k < 1:
         raise ValueError("k must be positive")
     out = Fraction(1)
     for p, j in arith.factorize(k).items():
-        out *= DedekindLocal.build(field, p).b(j, k_trunc)
+        out *= _local_b(field, p, j, k_trunc)
     return out
 
 

@@ -169,18 +169,25 @@ def test_c03_zero_count_bound_suite():
 
 def test_c04_gcd_bound_and_divisibility():
     rng = philox(20260816, 4)
+    size = 10**6
+    # one array draw per quantity; row i keeps the first deg_i + 1 coefficients
+    degs = rng.integers(1, 4, size=size)
+    block = rng.integers(-9, 10, size=(size, 4))
+    ms = rng.integers(1, 1001, size=size)
+    ns = rng.integers(1, 1001, size=size)
+    ls = rng.integers(1, degs + 1)
+    ks = rng.integers(0, ls)
     violations = 0
-    for _ in range(10**6):
-        deg = int(rng.integers(1, 4))
-        coeffs = rng.integers(-9, 10, size=deg + 1)
-        if coeffs[0] == 0 or coeffs[-1] == 0:
-            continue
-        form = fm.BinaryForm(coeffs.tolist())
-        m = int(rng.integers(1, 1001))
-        n = int(rng.integers(1, 1001))
-        l = int(rng.integers(1, deg + 1))
-        k = int(rng.integers(0, l))
-        violations += not fm.gcd_bound_check(form, m, n, k, l).holds
+    chunk = 10**5  # rows turned into Python ints at a time
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        for deg, row, m, n, k, l in zip(degs[part].tolist(), block[part].tolist(),
+                                        ms[part].tolist(), ns[part].tolist(),
+                                        ks[part].tolist(), ls[part].tolist()):
+            coeffs = row[: deg + 1]
+            if coeffs[0] == 0 or coeffs[-1] == 0:
+                continue
+            violations += not fm.gcd_bound_check(fm.BinaryForm(coeffs), m, n, k, l).holds
 
     tab = build_sieve(10**4)
     pps = []

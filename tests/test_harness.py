@@ -320,6 +320,33 @@ def test_chowla_workers_agree_off_block_multiple(tmp_path):
     assert [r["index"] for r in recs] == list(range(23))
 
 
+def test_chowla_block_cut_by_grid(monkeypatch):
+    # at a large grid each chowla_block call holds at most _EVAL_BLOCK // G
+    # rows, G the window's grid points, and the records are the unsplit block's
+    cfg = harness.make_config("chowla", {"samples": 10, "grid": 2**18})
+    state = harness._state_for(cfg)
+    block = range(10)
+    calls = []
+    real = chowla_bh.chowla_block
+
+    def spy(rows, *args):
+        out = real(rows, *args)
+        calls.append((len(rows), len(out.grid)))
+        return out
+
+    monkeypatch.setattr(chowla_bh, "chowla_block", spy)
+    recs = harness._chowla_records(cfg, state, block)
+    assert len(calls) > 1 and sum(n for n, _ in calls) == len(block)
+    assert all(n <= max(1, harness.forms._EVAL_BLOCK // g) for n, g in calls)
+    whole = real(state["cube"].sample_rows(cfg.seed, block), cfg.H, cfg.c,
+                 state["sieve"], cfg.grid)
+    assert not whole.overflow.any()
+    assert recs == [{"record": "sample", "index": i, "coeffs": coeffs, "statistic": stat,
+                     "window": [whole.grid[0], whole.grid[-1]], "H": cfg.H}
+                    for i, coeffs, stat in zip(block, state["cube"].sample_rows(
+                        cfg.seed, block).tolist(), whole.statistic.tolist())]
+
+
 def test_chowla_records_match_row_by_row():
     # at H = 2^59 and d = 1 most draws overflow the layer sums; the block's
     # error and sample records are the ones each draw gives on its own
@@ -449,6 +476,16 @@ def test_local_records_pinned(tmp_path, kind):
     man = harness.run(harness.make_config(kind, {**settings, "out": str(tmp_path)}))
     data = (Path(man.out_dir) / "results.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# results.jsonl of `verify --suite all`; the benchmark pins the same digest
+_VERIFY_ALL = "1eab62ffc8265987ff5c9dd5390f390f867432de39ca94593f512c68d411daf2"
+
+
+def test_verify_records_pinned(tmp_path):
+    man = harness.run(harness.make_config("verify", {"suite": "all", "out": str(tmp_path)}))
+    data = (Path(man.out_dir) / "results.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _VERIFY_ALL
 
 
 def test_density_run_bins_and_instances(tmp_path):

@@ -295,6 +295,9 @@ def test_b_coeff_tau_bound(presets):
                     val *= locs[p].b(j, k_trunc)
                     tau *= j + 1
                 assert abs(val) <= Fraction(tau) ** (e + 1), (name, k_trunc, k)
+                # the memoized local factors give the same product
+                assert nf.b_coeff(f, k, k_trunc) == val, (name, k_trunc, k)
+    assert nf._local_b.cache_parameters()["maxsize"] is not None
 
 
 def test_b_coeff_matches_per_prime(presets):
