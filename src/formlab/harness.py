@@ -986,7 +986,7 @@ def _lemma_checks() -> list[CheckResult]:
         ns = rng.integers(1, 5000, size=size)
         ls = rng.integers(1, ds + 1)
         ks = rng.integers(0, ls)
-        for lo in range(0, size, 1000):  # a few rows of Python ints at a time
+        for lo in range(0, size, 1000):  # 1,000 rows as Python ints at a time
             part = slice(lo, lo + 1000)
             for d, row, m, n, k, l in zip(ds[part].tolist(), block[part].tolist(),
                                           ms[part].tolist(), ns[part].tolist(),

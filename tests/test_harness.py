@@ -12,6 +12,7 @@ from hypothesis.strategies import fixed_dictionaries
 
 from formlab import chowla_bh, cli, harness
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
+from formlab.forms import _EVAL_BLOCK
 from formlab.normforms import field_presets
 
 
@@ -337,14 +338,13 @@ def test_chowla_block_cut_by_grid(monkeypatch):
     monkeypatch.setattr(chowla_bh, "chowla_block", spy)
     recs = harness._chowla_records(cfg, state, block)
     assert len(calls) > 1 and sum(n for n, _ in calls) == len(block)
-    assert all(n <= max(1, harness.forms._EVAL_BLOCK // g) for n, g in calls)
-    whole = real(state["cube"].sample_rows(cfg.seed, block), cfg.H, cfg.c,
-                 state["sieve"], cfg.grid)
+    assert all(n <= max(1, _EVAL_BLOCK // g) for n, g in calls)
+    rows = state["cube"].sample_rows(cfg.seed, block)
+    whole = real(rows, cfg.H, cfg.c, state["sieve"], cfg.grid)
     assert not whole.overflow.any()
     assert recs == [{"record": "sample", "index": i, "coeffs": coeffs, "statistic": stat,
                      "window": [whole.grid[0], whole.grid[-1]], "H": cfg.H}
-                    for i, coeffs, stat in zip(block, state["cube"].sample_rows(
-                        cfg.seed, block).tolist(), whole.statistic.tolist())]
+                    for i, coeffs, stat in zip(block, rows.tolist(), whole.statistic.tolist())]
 
 
 def test_chowla_records_match_row_by_row():
