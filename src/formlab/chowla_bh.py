@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .forms import _EVAL_BLOCK, BinaryForm, CombinatorialCube, form_grid, orbit_sum
+from .forms import _EVAL_BLOCK, BinaryForm, form_grid, orbit_sum
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7
@@ -262,7 +262,7 @@ def bh_correlation(forms: Sequence[BinaryForm], x: int, sieve: SieveTable) -> BH
 
 
 # ---------------------------------------------------------------------------
-# Form admissibility and deterministic accepted-draw streams.
+# Form admissibility.
 
 def is_irreducible(form: BinaryForm) -> bool:
     """Irreducibility over Q for degree <= 3 (no linear factor test)."""
@@ -285,20 +285,3 @@ def bh_admissible(form: BinaryForm, x: int, min_series: Fraction = Fraction(1, 5
     if form.is_zero or not form.is_separable or not is_irreducible(form):
         return False
     return singular_series([form], x) >= min_series
-
-
-def accepted_draw_index(
-    cube: CombinatorialCube, seed: int, k: int, predicate, scan_limit: int = 10**5
-) -> int:
-    """Index of the k-th draw satisfying predicate, scanning from 0.
-
-    Pure in (cube, seed, k, predicate), so parallel workers agree on the
-    accepted stream regardless of scheduling.
-    """
-    found = -1
-    for idx in range(scan_limit):
-        if predicate(cube.sample(seed, idx)):
-            found += 1
-            if found == k:
-                return idx
-    raise ResourceLimitError("rejection sampling exhausted its scan budget")

@@ -198,27 +198,21 @@ def _rep_monomials(p: int, k: int, d: int) -> np.ndarray:
     return mono
 
 
-def zero_count_mod(form: BinaryForm, q: int) -> int:
-    """#{(u,v) in (Z/q)^2 : g(u,v) = 0 mod q}: orbit sums at each p^k || q, by CRT."""
+def zero_count_mod(g, q: int):
+    """#{(u,v) in (Z/q)^2 : g(u,v) = 0 mod q}: orbit sums at each p^k || q, by CRT.
+
+    `g` is a BinaryForm, giving an int, or an (F, d+1) array of coefficient
+    rows of one degree, giving int64 counts per row.
+    """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if q == 1:
-        return 1
     if q * q > _GRID_BUDGET:
         raise ResourceLimitError(f"mod-{q} grid exceeds the enumeration budget")
-    return math.prod(orbit_sum(form.coeffs, p, k) for p, k in arith.factorize(q).items())
-
-
-def zero_count_mod_batch(coeff_rows: np.ndarray, q: int) -> np.ndarray:
-    """zero_count_mod for many forms of one degree at once.
-
-    coeff_rows: (nforms, d+1) int array.  Returns int64 counts.
-    """
-    rows = np.asarray(coeff_rows, dtype=np.int64)
-    return math.prod(
-        (orbit_sum(rows, p, k) for p, k in arith.factorize(q).items()),
-        start=np.ones(len(rows), dtype=np.int64),
-    )
+    one = isinstance(g, BinaryForm)
+    coeffs = g.coeffs if one else np.asarray(g, dtype=np.int64)
+    # q = 1 factors into no prime powers: one pair, one zero, per form
+    start = 1 if one else np.ones(len(coeffs), dtype=np.int64)
+    return math.prod((orbit_sum(coeffs, p, k) for p, k in arith.factorize(q).items()), start=start)
 
 
 # ---------------------------------------------------------------------------

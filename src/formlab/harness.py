@@ -10,8 +10,8 @@ Every sample record is a pure function of (config, index).  Records are
 computed in contiguous blocks of indices, in this process or in a pool,
 and the single writer emits canonical JSON in index order, so the result
 byte stream is identical for any worker count and any scheduling.  Heavy
-shared state (sieve table, region histogram, the MC profile) is built once
-in the parent before the pool forks.
+shared state (sieve table, region histogram, the MC profile, the accepted
+draws) is built once in the parent before the pool forks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ COMMON_FIELDS = ("seed", "out", "workers")
 # bh/chowla share one smallest-prime-factor table per process; values beyond
 # it take the slower scalar or probable-prime paths, so this caps memory only
 _SIEVE_CAP = 2 * 10**6
+# draws a rejection scan examines before the samples still unmet record an error
+_SCAN_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,31 @@ def per_index(record: Callable[[ExperimentConfig, dict, int], dict]):
     return records
 
 
+def _accepted_draws(cfg: ExperimentConfig, cube: CombinatorialCube, n: int,
+                    predicate: Callable[[BinaryForm], bool]) -> tuple[list[int], str]:
+    """The first n draw indices whose forms pass `predicate`, and the error of
+    the samples past them: the scan stops at _SCAN_LIMIT draws or a budget error."""
+    found: list[int] = []
+    for idx in range(_SCAN_LIMIT):
+        if len(found) == n:
+            break
+        try:
+            if predicate(cube.sample(cfg.seed, idx)):
+                found.append(idx)
+        except ResourceLimitError as exc:
+            return found, str(exc)
+        except Exception as exc:
+            raise RecordError(f"{cfg.kind} draw {idx}: {type(exc).__name__}: {exc}") from exc
+    return found, "rejection sampling exhausted its scan budget"
+
+
+def _drawn(state: dict, lo: int, hi: int) -> list[int]:
+    draws, error = state["draws"]  # the run's accepted draw indices, then its scan error
+    if hi > len(draws):
+        raise ResourceLimitError(error)
+    return draws[lo:hi]
+
+
 def _check_scale_exponent(cfg: ExperimentConfig) -> None:
     cap = chowla_bh.exponent_cap(cfg.d)
     if not 0 < cfg.c < cap:
@@ -274,26 +301,21 @@ def _validate_bh(cfg: ExperimentConfig) -> None:
 
 
 def _bh_state(cfg: ExperimentConfig) -> dict:
-    return {
-        "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
-        "sieve": sieve_mod.build_sieve(_SIEVE_CAP),
-        "min_series": Fraction(str(cfg.min_series)),
-    }
+    cube = CombinatorialCube(degree=cfg.d, side=cfg.H)
+    ms = Fraction(str(cfg.min_series))
+    n = 0 if cfg.anchor else cfg.r * cfg.samples
+    draws = _accepted_draws(cfg, cube, n, lambda g: chowla_bh.bh_admissible(g, cfg.x, ms))
+    return {"cube": cube, "sieve": sieve_mod.build_sieve(_SIEVE_CAP), "draws": draws}
 
 
 def _bh_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
-    sv = state["sieve"]
     if cfg.anchor:
         gs = [BinaryForm([1, 0])]
         idxs: list[int] = []
     else:
-        pred = lambda g: chowla_bh.bh_admissible(g, cfg.x, state["min_series"])
-        idxs = [
-            chowla_bh.accepted_draw_index(state["cube"], cfg.seed, cfg.r * k + j, pred)
-            for j in range(cfg.r)
-        ]
+        idxs = _drawn(state, cfg.r * k, cfg.r * (k + 1))
         gs = [state["cube"].sample(cfg.seed, idx) for idx in idxs]
-    res = chowla_bh.bh_correlation(gs, cfg.x, sv)
+    res = chowla_bh.bh_correlation(gs, cfg.x, state["sieve"])
     series = float(res.series)
     return {
         "record": "anchor" if cfg.anchor else "sample",
@@ -433,15 +455,14 @@ def _validate_density(cfg: ExperimentConfig) -> None:
 
 def _density_state(cfg: ExperimentConfig) -> dict:
     # with no instances to count, the region scale is the B setting itself
-    return _local_state(cfg, float(cfg.B) if cfg.samples == 0 else None)
-
-
-def _edges_nonzero(g: BinaryForm) -> bool:
-    return g.coeffs[0] * g.coeffs[-1] != 0
+    state = _local_state(cfg, float(cfg.B) if cfg.samples == 0 else None)
+    state["draws"] = _accepted_draws(cfg, state["cube"], cfg.samples,
+                                     lambda g: g.coeffs[0] * g.coeffs[-1] != 0)
+    return state
 
 
 def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
-    idx = chowla_bh.accepted_draw_index(state["cube"], cfg.seed, k, _edges_nonzero)
+    (idx,) = _drawn(state, k, k + 1)
     form = state["cube"].sample(cfg.seed, idx)
     inst = chatelet.ChateletInstance(field=state["field"], form=form)
     nc, est, err = _counts(cfg, state, inst)

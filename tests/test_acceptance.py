@@ -154,7 +154,7 @@ def test_c03_zero_count_bound_suite():
         rows = np.array([f.coeffs for f in forms], dtype=np.int64)
         for p in (2, 3, 5, 7):
             for k in (1, 2, 3):
-                counts = fm.zero_count_mod_batch(rows, p**k)
+                counts = fm.zero_count_mod(rows, p**k)
                 for f, cnt in zip(forms, counts):
                     res = fm.zero_count_bound_check(f, p, k, count=int(cnt))
                     checked += 1

@@ -18,7 +18,6 @@ from formlab import chowla_bh, harness
 from formlab.arith import primes
 from formlab.chowla_bh import (
     WTrick,
-    accepted_draw_index,
     bh_admissible,
     bh_correlation,
     chowla_block,
@@ -28,7 +27,7 @@ from formlab.chowla_bh import (
     series_cutoff,
     singular_series,
 )
-from formlab.errors import ResourceLimitError
+from formlab.errors import RecordError, ResourceLimitError
 from formlab.forms import BinaryForm, CombinatorialCube
 from formlab.rng import philox
 from formlab.sieve import SieveTable
@@ -507,6 +506,21 @@ def test_bh_admissible():
     assert not bh_admissible(BinaryForm([0, 0]), 1000)
 
 
+# ---------------------------------------------------------------------------
+# The accepted-draw stream: the harness scans once per run; the oracle
+# rescans from draw 0 for every acceptance, as each record once did.
+
+def accepted_draw_index(cube, seed, k, predicate, scan_limit=10**5):
+    """Index of the k-th draw satisfying predicate, scanning from 0."""
+    found = -1
+    for idx in range(scan_limit):
+        if predicate(cube.sample(seed, idx)):
+            found += 1
+            if found == k:
+                return idx
+    raise ResourceLimitError("rejection sampling exhausted its scan budget")
+
+
 def test_accepted_draw_stream():
     cube = CombinatorialCube(degree=2, side=20)
     pred = lambda g: bh_admissible(g, 300)
@@ -528,3 +542,101 @@ def test_bh_sample_deterministic(sieve_small):
     form = cube.sample(7, idx)
     assert bh_admissible(form, 100)
     assert bh_correlation([form], 100, sieve_small) == bh_correlation([form], 100, sieve_small)
+
+
+def _oracle_outcome(cube, seed, lo, hi, pred, scan_limit):
+    """The draws of acceptances lo..hi-1, or the error their rescans raise."""
+    try:
+        return [accepted_draw_index(cube, seed, m, pred, scan_limit) for m in range(lo, hi)]
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def _trap(cube, seed, at):
+    """A predicate wrapper that raises a budget error on the form of draw `at` only."""
+    form = cube.sample(seed, at)
+    assert all(cube.sample(seed, j) != form for j in range(at))
+
+    def wrap(pred):
+        def checked(g, *args):
+            if g == form:
+                raise ResourceLimitError(f"planted budget error at draw {at}")
+            return pred(g, *args)
+        return checked
+    return wrap
+
+
+@pytest.mark.parametrize("limit,raise_at", [(10**5, None), (12, None), (40, 9), (40, 0)])
+def test_scan_matches_rescanning_oracle(monkeypatch, limit, raise_at):
+    monkeypatch.setattr(harness, "_SCAN_LIMIT", limit)
+    cfg = harness.make_config("bh", {"seed": 5})
+    cube = CombinatorialCube(degree=2, side=20)
+    pred = lambda g: g.coeffs[0] > 0
+    if raise_at is not None:
+        pred = _trap(cube, cfg.seed, raise_at)(pred)
+    state = {"draws": harness._accepted_draws(cfg, cube, 15, pred)}
+    outcomes = []
+    for k in range(15):
+        try:
+            got = harness._drawn(state, k, k + 1)
+        except ResourceLimitError as exc:
+            got = str(exc)
+        assert got == _oracle_outcome(cube, cfg.seed, k, k + 1, pred, limit), k
+        outcomes.append(isinstance(got, str))
+    # the unlimited scan meets every sample; the others leave some unmet
+    assert any(outcomes) == (limit < 10**5 or raise_at is not None)
+
+
+def test_scan_of_no_samples_draws_nothing():
+    def pred(g):
+        raise AssertionError("no draw is examined")
+
+    cfg = harness.make_config("bh", {})
+    assert harness._accepted_draws(cfg, CombinatorialCube(degree=2, side=5), 0, pred)[0] == []
+
+
+@pytest.mark.parametrize("limit,raise_at", [(15, None), (10**5, 7)])
+def test_bh_error_records_match_oracle(monkeypatch, limit, raise_at):
+    # r = 2: record k needs acceptances 2k and 2k + 1
+    monkeypatch.setattr(harness, "_SCAN_LIMIT", limit)
+    monkeypatch.setattr(harness, "_STATE", {})
+    cfg = harness.make_config("bh", {"H": 25, "x": 50, "r": 2, "samples": 8, "seed": 3})
+    cube = CombinatorialCube(degree=2, side=25)
+    admissible = chowla_bh.bh_admissible
+    if raise_at is not None:
+        admissible = _trap(cube, cfg.seed, raise_at)(admissible)
+        monkeypatch.setattr(chowla_bh, "bh_admissible", admissible)
+    pred = lambda g: admissible(g, cfg.x, Fraction(str(cfg.min_series)))
+    recs = harness.compute_records(cfg)
+    assert {r["record"] for r in recs} == {"sample", "error"}
+    for k, rec in enumerate(recs):
+        got = rec["error"] if rec["record"] == "error" else rec["draws"]
+        assert got == _oracle_outcome(cube, cfg.seed, 2 * k, 2 * k + 2, pred, limit), k
+
+
+def test_density_error_records_match_oracle(monkeypatch):
+    monkeypatch.setattr(harness, "_SCAN_LIMIT", 4)
+    monkeypatch.setattr(harness, "_STATE", {})
+    cfg = harness.make_config("density", {"H": 2, "samples": 5, "mc": 2000,
+                                          "w_desk": 5, "k_desk": 1})
+    cube = CombinatorialCube(degree=2, side=2)
+    pred = lambda g: g.coeffs[0] * g.coeffs[-1] != 0
+    recs = [r for r in harness.compute_records(cfg) if r["record"] in ("instance", "error")]
+    assert {r["record"] for r in recs} == {"instance", "error"}
+    for k, rec in enumerate(recs):
+        got = rec["error"] if rec["record"] == "error" else [rec["index"]]
+        assert got == _oracle_outcome(cube, cfg.seed, k, k + 1, pred, 4), k
+
+
+def test_scan_failure_names_kind_and_draw():
+    cfg = harness.make_config("density", {"samples": 3})
+    cube = CombinatorialCube(degree=2, side=20)
+    bad = cube.sample(cfg.seed, 2)
+
+    def pred(g):
+        if g == bad:
+            raise ZeroDivisionError("boom")
+        return True
+
+    with pytest.raises(RecordError, match=r"^density draw 2: ZeroDivisionError: boom$"):
+        harness._accepted_draws(cfg, cube, 3, pred)

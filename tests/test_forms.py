@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formlab import forms
+from formlab.errors import ResourceLimitError
 from formlab.forms import BinaryForm, CombinatorialCube
 from formlab.rng import mix
 
@@ -182,7 +183,7 @@ def test_fast_slow_agreement_exhaustive():
         rows = [cs for cs in iproduct(range(-2, 3), repeat=d + 1) if any(cs)]
         arr = np.array(rows, dtype=np.int64)
         for p in primes:
-            counts = forms.zero_count_mod_batch(arr, p)
+            counts = forms.zero_count_mod(arr, p)
             assert counts.tolist() == oracle_zero_counts_grid(arr, p).tolist(), (d, p)
 
 
@@ -206,7 +207,7 @@ def test_orbit_sum_zero_counts_match_oracle(coeffs, pk, scale):
     cs = [scale * c for c in coeffs]
     want = oracle_zero_count(cs, p**k)
     assert forms.orbit_sum(cs, p, k) == want
-    assert forms.zero_count_mod_batch(np.array([cs]), p**k).tolist() == [want]
+    assert forms.zero_count_mod(np.array([cs]), p**k).tolist() == [want]
     if len(cs) > 1:  # a BinaryForm has degree >= 1
         g = BinaryForm(cs)
         assert forms.zero_count_mod(g, p**k) == want
@@ -216,19 +217,30 @@ def test_orbit_sum_uncached_monomials(monkeypatch):
     # moduli with (d+1)*q above the cache size build their monomials on every call
     rows = np.array([[1, 0, 1], [3, 6, 9], [0, 0, 0], [2, -1, 5]], dtype=np.int64)
     want = oracle_zero_counts_grid(rows, 27).tolist()
-    assert forms.zero_count_mod_batch(rows, 27).tolist() == want
+    assert forms.zero_count_mod(rows, 27).tolist() == want
     monkeypatch.setattr(forms, "_MONO_CACHE_SIZE", 0)
-    assert forms.zero_count_mod_batch(rows, 27).tolist() == want
+    assert forms.zero_count_mod(rows, 27).tolist() == want
 
 
 def test_batch_matches_single():
     rng = random.Random(41)
     rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(50)]
     rows = [r for r in rows if any(r)]
-    for q in (2, 5, 9, 12, 49):
-        batch = forms.zero_count_mod_batch(np.array(rows), q)
+    for q in (1, 2, 5, 9, 12, 49):
+        batch = forms.zero_count_mod(np.array(rows), q)
+        assert batch.dtype == np.int64 and batch.shape == (len(rows),)
         for r, got in zip(rows, batch):
-            assert int(got) == forms.zero_count_mod(BinaryForm(r), q)
+            single = forms.zero_count_mod(BinaryForm(r), q)
+            assert type(single) is int and int(got) == single
+
+
+@pytest.mark.parametrize("g", [BinaryForm([1, 0, 1]), np.array([[1, 0, 1], [2, 3, 4]])])
+def test_zero_count_guards_for_both_shapes(g):
+    with pytest.raises(ValueError):
+        forms.zero_count_mod(g, 0)
+    with pytest.raises(ResourceLimitError):
+        forms.zero_count_mod(g, 10**4 + 1)
+    assert np.all(forms.zero_count_mod(g, 1) == 1)
 
 
 def test_zero_count_bound_small_sweep():

@@ -298,12 +298,15 @@ def test_chowla_300_pinned(tmp_path):
 @pytest.mark.parametrize("kind,settings", [
     ("chowla", {"H": 90, "samples": 23}),
     ("hasse", {"samples": 7, "height": 50, "primes": 15, "mc": 2000}),
+    ("bh", {"H": 25, "x": 50, "samples": 7}),
+    ("density", {"samples": 5, "mc": 2000, "w_desk": 5, "k_desk": 1}),
 ])
 def test_records_identical_across_block_splits(kind, settings):
     cfg = harness.make_config(kind, settings)
-    whole = harness.compute_records(cfg)
     state = harness._state_for(cfg)
-    hook = harness.PROTOCOLS[kind].records
+    protocol = harness.PROTOCOLS[kind]
+    whole = harness.compute_records(cfg)[len(protocol.prefix(cfg, state)):]
+    hook = protocol.records
     n = cfg.samples
     for size in (1, 2, 5, n):
         split = [rec for lo in range(0, n, size)

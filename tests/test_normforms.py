@@ -305,7 +305,7 @@ def test_b_coeff_matches_per_prime(presets):
     d2 = nf.DedekindLocal.build(gi, 2)
     d5 = nf.DedekindLocal.build(gi, 5)
     assert nf.b_coeff(gi, 20, 2) == d2.b(2, 2) * d5.b(1, 2)
-    assert nf.b_coeff(gi, 1, 1) == 1 or True  # k=1 has empty factorization
+    assert nf.b_coeff(gi, 1, 1) == 1  # k=1 has empty factorization
     with pytest.raises(ValueError):
         nf.b_coeff(gi, 0, 1)
 
