@@ -198,16 +198,18 @@ def per_index(record: Callable[[ExperimentConfig, dict, int], dict]):
 
 
 def _accepted_draws(cfg: ExperimentConfig, cube: CombinatorialCube, n: int,
-                    predicate: Callable[[BinaryForm], bool]) -> tuple[list[int], str]:
-    """The first n draw indices whose forms pass `predicate`, and the error of
-    the samples past them: the scan stops at _SCAN_LIMIT draws or a budget error."""
-    found: list[int] = []
+                    predicate: Callable[[BinaryForm], bool]
+                    ) -> tuple[list[tuple[int, BinaryForm]], str]:
+    """The first n (draw index, form) pairs whose forms pass `predicate`, and the
+    error of the samples past them: the scan stops at _SCAN_LIMIT draws or a budget error."""
+    found: list[tuple[int, BinaryForm]] = []
     for idx in range(_SCAN_LIMIT):
         if len(found) == n:
             break
         try:
-            if predicate(cube.sample(cfg.seed, idx)):
-                found.append(idx)
+            form = cube.sample(cfg.seed, idx)
+            if predicate(form):
+                found.append((idx, form))
         except ResourceLimitError as exc:
             return found, str(exc)
         except Exception as exc:
@@ -215,8 +217,8 @@ def _accepted_draws(cfg: ExperimentConfig, cube: CombinatorialCube, n: int,
     return found, "rejection sampling exhausted its scan budget"
 
 
-def _drawn(state: dict, lo: int, hi: int) -> list[int]:
-    draws, error = state["draws"]  # the run's accepted draw indices, then its scan error
+def _drawn(state: dict, lo: int, hi: int) -> list[tuple[int, BinaryForm]]:
+    draws, error = state["draws"]  # the run's accepted (index, form) pairs, then its scan error
     if hi > len(draws):
         raise ResourceLimitError(error)
     return draws[lo:hi]
@@ -301,20 +303,18 @@ def _validate_bh(cfg: ExperimentConfig) -> None:
 
 
 def _bh_state(cfg: ExperimentConfig) -> dict:
-    cube = CombinatorialCube(degree=cfg.d, side=cfg.H)
     ms = Fraction(str(cfg.min_series))
     n = 0 if cfg.anchor else cfg.r * cfg.samples
-    draws = _accepted_draws(cfg, cube, n, lambda g: chowla_bh.bh_admissible(g, cfg.x, ms))
-    return {"cube": cube, "sieve": sieve_mod.build_sieve(_SIEVE_CAP), "draws": draws}
+    draws = _accepted_draws(cfg, CombinatorialCube(degree=cfg.d, side=cfg.H), n,
+                            lambda g: chowla_bh.bh_admissible(g, cfg.x, ms))
+    return {"sieve": sieve_mod.build_sieve(_SIEVE_CAP), "draws": draws}
 
 
 def _bh_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
     if cfg.anchor:
-        gs = [BinaryForm([1, 0])]
-        idxs: list[int] = []
+        idxs, gs = [], [BinaryForm([1, 0])]
     else:
-        idxs = _drawn(state, cfg.r * k, cfg.r * (k + 1))
-        gs = [state["cube"].sample(cfg.seed, idx) for idx in idxs]
+        idxs, gs = map(list, zip(*_drawn(state, cfg.r * k, cfg.r * (k + 1))))
     res = chowla_bh.bh_correlation(gs, cfg.x, state["sieve"])
     series = float(res.series)
     return {
@@ -462,8 +462,7 @@ def _density_state(cfg: ExperimentConfig) -> dict:
 
 
 def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
-    (idx,) = _drawn(state, k, k + 1)
-    form = state["cube"].sample(cfg.seed, idx)
+    ((idx, form),) = _drawn(state, k, k + 1)
     inst = chatelet.ChateletInstance(field=state["field"], form=form)
     nc, est, err = _counts(cfg, state, inst)
     gap = abs(nc - est)

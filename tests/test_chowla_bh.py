@@ -578,7 +578,9 @@ def test_scan_matches_rescanning_oracle(monkeypatch, limit, raise_at):
     outcomes = []
     for k in range(15):
         try:
-            got = harness._drawn(state, k, k + 1)
+            drawn = harness._drawn(state, k, k + 1)
+            assert all(g == cube.sample(cfg.seed, idx) for idx, g in drawn)
+            got = [idx for idx, _ in drawn]
         except ResourceLimitError as exc:
             got = str(exc)
         assert got == _oracle_outcome(cube, cfg.seed, k, k + 1, pred, limit), k

@@ -1,16 +1,15 @@
 """Time `harness.run` of acceptance protocols in two source trees, alternately.
 
 Each run is a fresh process that imports formlab from one tree's `src/`
-and times one `harness.run` of the protocol at the given worker count:
+and times one `harness.run` of the protocol at workers 1 or 2:
 the imports are outside the timed span, the run's state build (sieve,
 draw scan, profiles) and its writing are inside.  The trees alternate
-which runs first in each pair.
+which runs first in each of 10 pairs per protocol and worker count.
 Prints one JSON object: per protocol, worker count and tree the run
 times, their median and quartiles, and the results.jsonl digest, which
 must agree between the trees.
 
-    python tools/time_protocols.py --before OLD/src --after NEW/src \
-        --protocol c11 --workers 1 2 --pairs 4
+    python tools/time_protocols.py --before OLD/src --after NEW/src --protocol c11
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ import subprocess
 import sys
 import tempfile
 
-# the pinned acceptance protocols (tests/test_acceptance.py)
+# the C11 and C13 settings of tests/test_acceptance.py::_PROTOCOLS
 PROTOCOLS = {
-    "c09": ("density", {"samples": 50, "w_desk": 5, "k_desk": 1}),
-    "c10": ("chowla", {}),
     "c11": ("bh", {}),
-    "c12": ("bh", {"anchor": True, "x": 1000}),
     "c13": ("hasse", {}),
-    "verify": ("verify", {"suite": "all"}),
 }
+PAIRS = 10
+WORKERS = (1, 2)
 
 _CHILD = """
 import json, sys, time
@@ -64,19 +61,17 @@ def main(argv=None) -> int:
     ap.add_argument("--before", required=True, help="src/ directory of the earlier tree")
     ap.add_argument("--after", required=True, help="src/ directory of the later tree")
     ap.add_argument("--protocol", nargs="+", default=["c11"], choices=sorted(PROTOCOLS))
-    ap.add_argument("--workers", nargs="+", type=int, default=[1, 2])
-    ap.add_argument("--pairs", type=int, default=4)
     args = ap.parse_args(argv)
     trees = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
-    report: dict = {"pairs": args.pairs, "python": sys.version.split()[0],
+    report: dict = {"pairs": PAIRS, "python": sys.version.split()[0],
                     "nproc": os.cpu_count(), "results": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for protocol in args.protocol:
-            for w in args.workers:
+            for w in WORKERS:
                 times: dict = {"before": [], "after": []}
                 digests = set()
                 order = []
-                for pair in range(args.pairs):
+                for pair in range(PAIRS):
                     sides = ("before", "after") if pair % 2 == 0 else ("after", "before")
                     order.append(sides[0])
                     for side in sides:
@@ -88,12 +83,12 @@ def main(argv=None) -> int:
                     "first_in_pair": order,
                     "before": _stats(times["before"]),
                     "after": _stats(times["after"]),
-                    "after_lower_in_pairs": f"{lower}/{args.pairs}",
+                    "after_lower_in_pairs": f"{lower}/{PAIRS}",
                     "results_sha256": sorted(digests),
                 }
                 print(f"{protocol} w{w}: before {_stats(times['before'])['median']} s, "
                       f"after {_stats(times['after'])['median']} s, after lower in "
-                      f"{lower}/{args.pairs}", file=sys.stderr)
+                      f"{lower}/{PAIRS}", file=sys.stderr)
     print(json.dumps(report, indent=1))
     return 0 if all(len(r["results_sha256"]) == 1 for r in report["results"].values()) else 1
 
