@@ -132,12 +132,3 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import ResourceLimitError
 from .forms import BinaryForm
 from .normforms import (
     DensityProfile,
-    NormForm,
     NumberField,
     RegionB,
     _mp_eval_mod,
@@ -60,10 +58,6 @@ class ChateletInstance:
     def d(self) -> int:
         return self.form.degree
 
-    @cached_property
-    def norm(self) -> NormForm:
-        return NormForm(self.field)
-
     def in_S(self, H: int) -> bool:
         c = self.form.coeffs
         return max(abs(v) for v in c) <= H and c[0] * c[-1] != 0
@@ -76,7 +70,7 @@ class ChateletInstance:
         """Primes dividing disc(K-poly), disc(g), or the edge coefficients."""
         out: set[int] = set()
         for v in (
-            polys.discriminant(list(self.field.poly)),
+            self.field.disc,
             self.form.coeffs[0],
             self.form.coeffs[-1],
             0 if self.form.is_zero else self.form.discriminant(),
@@ -128,10 +122,6 @@ class PadicVerdict:
     alpha: Optional[int]
     level: int
     witness: Optional[tuple] = None
-
-    @property
-    def solvable(self) -> Optional[bool]:
-        return {"yes": True, "no": False}.get(self.kind)
 
 
 def _form_mpoly(form: BinaryForm) -> dict:
@@ -217,14 +207,14 @@ def padic_solvable(
     if g.is_zero:
         return PadicVerdict("no", None, 0)
     content = g.content
-    disc_poly = polys.discriminant(list(instance.field.poly))
-    if p > max(d, e) and e % p != 0 and disc_poly % p != 0 and content % p != 0:
+    if p > max(d, e) and e % p != 0 and instance.field.disc % p != 0 and content % p != 0:
         # good prime: g has a unit value on some primitive pair, the
         # residue norm map is onto, and the Euler identity gives a unit
         # partial, so a smooth level-1 solution always exists
         return PadicVerdict("yes", 0, 1)
 
-    n_poly, n_partials = instance.norm.poly, instance.norm.partials
+    norm = instance.field.norm
+    n_poly, n_partials = norm.poly, norm.partials
     g_poly = _form_mpoly(g)
     g_partials = [_mp_partial(g_poly, 0), _mp_partial(g_poly, 1)]
 
@@ -471,7 +461,7 @@ def _represent_by_norm(
     instance: ChateletInstance, val: int, budget: _OpBudget
 ) -> Optional[tuple[int, ...]]:
     """Find integral x with N_K(x) = val, or None (absent or out of budget)."""
-    norm = instance.norm
+    norm = instance.field.norm
     e = instance.e
     if instance.field.poly == (1, 0, 1):
         if not budget.spend(max(1, round(math.log(abs(val) + 2)))):
@@ -486,7 +476,7 @@ def _represent_by_norm(
     if count > 10**7:
         return None
     mesh = np.meshgrid(*([axis] * e), indexing="ij")
-    vals = norm.eval_int_grid(list(mesh))
+    vals = norm(mesh)
     hit = np.nonzero(vals == val)
     if len(hit[0]) == 0:
         return None
@@ -528,7 +518,7 @@ def search_rational_point(
                     continue
                 x = _represent_by_norm(instance, val, budget)
                 if x is not None:
-                    assert instance.norm.eval_det(list(x)) == val == g(mm, nn)
+                    assert instance.field.norm.eval_det(list(x)) == val == g(mm, nn)
                     assert nn != 0
                     return (tuple(int(t) for t in x), mm, nn)
             if budget.used > budget.limit:

@@ -179,17 +179,6 @@ class WTrick:
         return cls(modulus=W, density=Fraction(W, phi))
 
 
-def lambda_w(n: int, W: int) -> Fraction:
-    """Coprimality density weight: W/phi(W) when gcd(n, W) = 1, else 0."""
-    if W < 1:
-        raise ValueError("W must be positive")
-    if any(e > 1 for e in arith.factorize(W).values()):
-        raise ValueError("W must be squarefree")
-    if n == 0 or math.gcd(abs(n), W) != 1:
-        return Fraction(0)
-    return Fraction(W, arith.euler_phi(W))
-
-
 # ---------------------------------------------------------------------------
 # Correlations.
 

@@ -77,7 +77,10 @@ def main(argv=None) -> int:
             if args.bound < 2:
                 raise ConfigError("sieve bound must be at least 2")
             table = sieve_mod.build_sieve(args.bound)
-            table.save(args.out)
+            try:
+                table.save(args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write sieve file: {exc}") from None
             print(f"wrote {args.out} (bound {args.bound})")
             return 0
         if args.command == "summarize":

@@ -38,7 +38,7 @@ from . import __version__, arith, chatelet, chowla_bh, forms, normforms
 from . import sieve as sieve_mod
 from .errors import ConfigError, RecordError, ResourceLimitError
 from .forms import BinaryForm, CombinatorialCube
-from .normforms import DensityProfile, NormForm, RegionB, field_presets
+from .normforms import DensityProfile, RegionB, field_presets
 from .rng import philox
 
 SUITES = ("all", "lemmas", "oracle")
@@ -375,7 +375,7 @@ def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
     if B is None:
         probe = chatelet.ChateletInstance(field=field, form=BinaryForm([1] * (cfg.d + 1)))
         B = chatelet.default_B(probe, cfg.x, cfg.H)
-    region = RegionB(NormForm(field), B)
+    region = RegionB(field.norm, B)
     region.histogram()
     return {
         "field": field,
@@ -462,6 +462,8 @@ def _density_state(cfg: ExperimentConfig) -> dict:
 
 
 def _density_record(cfg: ExperimentConfig, state: dict, k: int) -> dict:
+    """The k-th instance: its `index` is its accepted draw and its `draw` is the
+    sample number k.  An error record for sample k has `index` k."""
     ((idx, form),) = _drawn(state, k, k + 1)
     inst = chatelet.ChateletInstance(field=state["field"], form=form)
     nc, est, err = _counts(cfg, state, inst)
@@ -1100,7 +1102,7 @@ def _lemma_checks() -> list[CheckResult]:
     out.append(_check("lemmas", "hensel-density-floor", hensel_bound))
 
     def omega_support() -> str:
-        region = RegionB(NormForm(Qi), 6.0)
+        region = RegionB(Qi.norm, 6.0)
         prof = DensityProfile.draw(region, 5000, 3)
         lo, hi = region.support
         est_out, _ = prof.estimate(hi + prof.half_width + 1.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,6 +130,10 @@ class NumberField:
     real roots of the polynomial.  The index of the basis order in the
     maximal order gates which primes admit splitting data from plain
     polynomial factorization.
+
+    The data that depends only on the field (its discriminant and norm
+    form) is built once per field object and cached in the instance
+    dict, outside the dataclass fields, so equality and hashing ignore it.
     """
 
     poly: tuple[int, ...]  # ascending, monic
@@ -145,6 +149,15 @@ class NumberField:
     @property
     def totally_imaginary(self) -> bool:
         return self.signature[0] == 0
+
+    @cached_property
+    def disc(self) -> int:
+        """Discriminant of the defining polynomial."""
+        return polys.discriminant(list(self.poly))
+
+    @cached_property
+    def norm(self) -> "NormForm":
+        return NormForm(self)
 
     @classmethod
     def power_basis(
@@ -217,13 +230,13 @@ class NormForm:
         y = [int(v) for v in rng.integers(-9, 10, size=e)]
         if self([2 * t for t in y]) != 2**e * self(y):
             raise ValueError("norm form is not homogeneous of the right degree")
-        grad = [_mp_eval(g, y) for g in self.partials]
-        if e * self(y) != sum(gi * yi for gi, yi in zip(grad, y)):
+        if e * self(y) != sum(gi * yi for gi, yi in zip(self.gradient(y), y)):
             raise ValueError("norm form fails the Euler identity")
         if self(y) != self.eval_det(y):
             raise ValueError("expanded norm disagrees with the determinant")
 
     def __call__(self, y: Sequence):
+        """N(y) at one point, or elementwise over e integer coordinate arrays."""
         if len(y) != self.field.degree:
             raise ValueError(f"expected {self.field.degree} coordinates")
         return _mp_eval(self.poly, y)
@@ -250,9 +263,6 @@ class NormForm:
     def eval_float(self, pts: np.ndarray) -> np.ndarray:
         return _mp_eval_array(self.poly, pts)
 
-    def eval_int_grid(self, cols: list[np.ndarray]) -> np.ndarray:
-        return _mp_eval(self.poly, cols)
-
 
 # ---------------------------------------------------------------------------
 # Splitting data and Dedekind coefficients.
@@ -269,8 +279,7 @@ def splitting_type(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if field.index is None:
-        disc = polys.discriminant(list(field.poly))
-        if disc % (p * p) == 0:
+        if field.disc % (p * p) == 0:
             raise IndexDivisorError(
                 f"p={p} may divide the basis-order index; declare the index"
             )
@@ -357,33 +366,19 @@ def norm_residue_counts(field: NumberField, q: int) -> np.ndarray:
     e = field.degree
     if q**e > _GAMMA_BUDGET:
         raise ResourceLimitError(f"gamma enumeration budget exceeded at q={q}")
-    norm = NormForm(field)
     counts = np.zeros(q, dtype=np.int64)
     axes = np.meshgrid(*([np.arange(q, dtype=np.int64)] * e), indexing="ij", sparse=True)
     # chunk the leading coordinate so the working set stays small
     chunk = max(1, 10**7 // q ** (e - 1))
     for start in range(0, q, chunk):
         cols = [axes[0][start : start + chunk], *axes[1:]]
-        counts += np.bincount(_mp_eval_mod(norm.poly, cols, q).ravel(), minlength=q)
+        counts += np.bincount(_mp_eval_mod(field.norm.poly, cols, q).ravel(), minlength=q)
     return counts
 
 
-def gamma_density(field: NumberField, q: int, a: int) -> Fraction:
-    """q^-(e-1) times the count of basis vectors with norm a mod q."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if q == 1:
-        return Fraction(1)
-    out = Fraction(1)
-    for p, k in arith.factorize(q).items():
-        pk = p**k
-        counts = norm_residue_counts(field, pk)
-        out *= Fraction(int(counts[a % pk]), pk ** (field.degree - 1))
-    return out
-
-
 def gamma_many(field: NumberField, q: int, residues: np.ndarray) -> np.ndarray:
-    """gamma_density over an int array of residues, as float64."""
+    """gamma(q, a) = q^-(e-1) #{s in (Z/q)^e : N(s) = a mod q} per residue a
+    of an int array, as float64: one exact count ratio per prime power of q."""
     residues = np.asarray(residues)
     if q == 1:
         return np.ones(residues.shape, dtype=np.float64)
@@ -451,7 +446,7 @@ class RegionB:
             raise ResourceLimitError("norm values overflow the integer grid")
         axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
         mesh = np.meshgrid(*axes, indexing="ij")
-        vals = self.norm.eval_int_grid(mesh)
+        vals = self.norm(mesh)
         uniq, cnt = np.unique(vals.ravel(), return_counts=True)
         self._hist = {int(u): int(c) for u, c in zip(uniq, cnt)}
         return self._hist

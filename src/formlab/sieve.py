@@ -14,8 +14,8 @@ test to bases 2, 7 and 61, which has no composite passer below
 4,759,123,141 (Jaeschke, Math. Comp. 61, 1993); residues stay below
 2**31, so every int64 product is exact.  Powers p^k (k >= 2) below 2**31
 come from a per-call table of the primes up to sqrt(max |n|).  Only
-magnitudes >= 2**31 take the scalar _prime_power_base.  Every value is
-math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
+magnitudes >= 2**31 take factor, as the scalar queries do.  Every value
+is math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
 
 Also provides the exact pair counts for divisibility of
 v1^a v2^b (v1^c - v2^c) by prime powers, many moduli at once.
@@ -97,10 +97,12 @@ class SieveTable:
         raw = Path(path).read_bytes()
         if raw[:8] != _MAGIC:
             raise ValueError("not a sieve table file (bad magic)")
-        (bound,) = struct.unpack("<Q", raw[8:16])
-        spf = np.frombuffer(raw[16:], dtype="<u4")
-        if len(spf) != bound + 1:
+        if len(raw) < 16:
             raise ValueError("sieve table file truncated")
+        (bound,) = struct.unpack("<Q", raw[8:16])
+        if len(raw) != 16 + 4 * (bound + 1):
+            raise ValueError("sieve table file truncated")
+        spf = np.frombuffer(raw[16:], dtype="<u4")
         return cls(int(bound), _spf=spf.astype(np.uint32))
 
     # -- scalar queries ------------------------------------------------
@@ -234,7 +236,9 @@ class SieveTable:
                 found[is_power] = roots[pos[is_power]]
             base[lo:hi] = found
         for i in range(hi, len(n)):
-            base[i] = _prime_power_base(int(n[i])) or 0
+            fac = self.factor(int(n[i]))
+            if len(fac) == 1:
+                (base[i],) = fac
         return base
 
 
@@ -290,24 +294,6 @@ def _prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return powers_a[order], roots_a[order]
 
 
-def _prime_power_base(n: int) -> int | None:
-    """The prime p when n = p^k (k >= 1), else None."""
-    if n < 2:
-        return None
-    if arith.is_prime(n):
-        return n
-    k = 2
-    while (1 << k) <= n:
-        root = round(n ** (1.0 / k))
-        for t in (root - 1, root, root + 1):
-            if t >= 2 and t**k == n:
-                sub = _prime_power_base(t)
-                if sub:
-                    return sub
-        k += 1
-    return None
-
-
 def build_sieve(bound: int) -> SieveTable:
     return SieveTable(bound)
 
@@ -344,4 +330,4 @@ def _check_divisibility(q: int, a: int, b: int, c: int, x: int) -> None:
 
 
 def _is_prime_power(q: int) -> bool:
-    return q >= 2 and _prime_power_base(q) is not None
+    return q >= 2 and len(arith.factorize(q)) == 1

@@ -60,11 +60,6 @@ def test_primes_list():
     assert arith.primes(2) == [2]
 
 
-def test_euler_phi():
-    for n in range(1, 500):
-        assert arith.euler_phi(n) == sympy.totient(n)
-
-
 def test_brent_rho_on_squares():
     n = 10007**2
     fac = arith.factorize(n)

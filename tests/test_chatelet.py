@@ -16,7 +16,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formlab import arith, chatelet as ch, forms, harness
+from formlab import arith, chatelet as ch, forms, harness, polys
 from formlab.errors import ResourceLimitError
 from formlab.forms import BinaryForm
 from formlab.normforms import (
@@ -188,7 +188,6 @@ def test_real_solvable_matches_sympy_oracle(fields, case, sign):
 def test_padic_smooth_unit_solution(Qi):
     v = ch.padic_solvable(inst_of(Qi, [1, 0, 1]), 5)
     assert (v.kind, v.alpha, v.level) == ("yes", 0, 1)
-    assert v.solvable is True
 
 
 def test_padic_inert_content_obstruction(Qi):
@@ -196,7 +195,6 @@ def test_padic_inert_content_obstruction(Qi):
     # norms at an inert prime have even valuation
     v = ch.padic_solvable(inst_of(Qi, [3, 0, 3]), 3)
     assert (v.kind, v.level) == ("no", 2)
-    assert v.solvable is False
 
 
 def brute_no_match_mod(field, coeffs, p, k) -> bool:
@@ -252,7 +250,6 @@ def test_padic_unknown_at_precision_one(Qi):
     v = ch.padic_solvable(inst_of(Qi, [3, 0, 3]), 3, max_precision=1)
     assert v.kind == "unknown"
     assert v.level == 1
-    assert v.solvable is None
 
 
 def test_padic_rejects_bad_arguments(Qi):
@@ -777,6 +774,29 @@ def test_hasse_experiment_empty(Qi):
     rows = dict(harness.PROTOCOLS["hasse"].summary(recs))
     assert rows["ratio_lower_bound"] == ""
     assert sum(rows[f"count_{k}"] for k in ch._CLASSES) == 0
+
+
+def test_hasse_run_builds_one_norm_form(fields, monkeypatch):
+    # the field owns its norm form and discriminant, so a run builds the
+    # norm form once, however many instances and primes it classifies
+    built = []
+    init = NormForm.__init__
+
+    def counting_init(self, field):
+        built.append(field.name)
+        init(self, field)
+
+    monkeypatch.setattr(NormForm, "__init__", counting_init)
+    monkeypatch.setattr(harness, "_STATE", {})
+    cfg = harness.make_config("hasse", {"height": 30, "primes": 20, "samples": 20,
+                                        "seed": 5, "mc": 2000, "workers": 1})
+    assert len(harness.compute_records(cfg)) == 20
+    assert built == ["gaussian"]
+    field = harness._state_for(cfg)["field"]
+    # the cached data sits outside the dataclass fields
+    assert field == fields["gaussian"] and hash(field) == hash(fields["gaussian"])
+    for f in fields.values():
+        assert f.disc == polys.discriminant(list(f.poly))
 
 
 def test_density_experiment_records(Qi):

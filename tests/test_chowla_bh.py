@@ -23,7 +23,6 @@ from formlab.chowla_bh import (
     chowla_block,
     exponent_cap,
     is_irreducible,
-    lambda_w,
     series_cutoff,
     singular_series,
 )
@@ -355,22 +354,6 @@ def test_series_validation():
 # ---------------------------------------------------------------------------
 # coprimality weight
 
-def test_lambda_w_worked_values():
-    assert lambda_w(1, 6) == 3
-    assert lambda_w(10, 6) == 0
-    assert lambda_w(7, 6) == 3
-    assert lambda_w(-7, 6) == 3
-    assert lambda_w(0, 6) == 0
-    assert lambda_w(5, 1) == 1
-
-
-def test_lambda_w_requires_squarefree():
-    with pytest.raises(ValueError):
-        lambda_w(3, 4)
-    with pytest.raises(ValueError):
-        lambda_w(3, 0)
-
-
 def test_wtrick_worked():
     t = WTrick.for_x(300)
     assert t.modulus == 210
@@ -386,15 +369,19 @@ def test_wtrick_worked():
 
 def test_cramer_identity_direct_enumeration(sieve_small):
     # r = 1: the surrogate equals the plain average of the coprimality
-    # weight over the grid, computed here by direct loops.
+    # weight (W/phi(W) on values coprime to W, else 0) over the grid,
+    # computed here by direct loops.
     g = BinaryForm([1, 2, -1])
     x = 200
     res = bh_correlation([g], x, sieve_small)
-    W = res.w_modulus
+    trick = WTrick.for_x(x)
+    assert res.w_modulus == trick.modulus
+    assert trick.density == Fraction(trick.modulus, int(sympy.totient(trick.modulus)))
     direct = Fraction(0)
     for m in range(1, x + 1):
         for n in range(1, x + 1):
-            direct += lambda_w(g(m, n), W)
+            if math.gcd(g(m, n), trick.modulus) == 1:
+                direct += trick.density
     assert res.cramer == direct / (x * x)
 
 

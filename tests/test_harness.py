@@ -637,16 +637,22 @@ def test_cli_hasse_banner(tmp_path, capsys):
     ]
 
 
+_RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["chowla", "--c", "0.5"],
-    ["chowla", "--H", "2"],
-    ["chowla", "--grid", "0"],
-    ["bh", "--d", "4"],
-    ["bh", "--x", "2"],
-    ["bh", "--anchor", "--x", "2"],
-], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2"])
+    ["chowla", "--c", "0.5", *_RUN_OUT],
+    ["chowla", "--H", "2", *_RUN_OUT],
+    ["chowla", "--grid", "0", *_RUN_OUT],
+    ["bh", "--d", "4", *_RUN_OUT],
+    ["bh", "--x", "2", *_RUN_OUT],
+    ["bh", "--anchor", "--x", "2", *_RUN_OUT],
+    ["sieve", "--bound", "100", "--out", "{tmp}/missing/d/s.bin"],
+    ["sieve", "--bound", "100", "--out", "{tmp}"],
+], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
+        "sieve-out-missing-dir", "sieve-out-is-directory"])
 def test_cli_config_error_exit_two(tmp_path, capsys, argv):
-    code = cli.main(argv + ["--samples", "1", "--out", str(tmp_path / "x")])
+    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     diag = json.loads(err)

@@ -152,7 +152,7 @@ def test_norm_float_and_int_grids(gaussian_norm):
     out = gaussian_norm.eval_float(pts)
     assert out == pytest.approx([1.5**2 + 4.0, 9.0])
     us, vs = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
-    grid = gaussian_norm.eval_int_grid([us, vs])
+    grid = gaussian_norm([us, vs])
     assert grid[0, 0] == 8 and grid[2, 2] == 0
 
 
@@ -312,51 +312,60 @@ def test_b_coeff_matches_per_prime(presets):
 
 # --- gamma densities ---------------------------------------------------
 
+def gamma_at(field, q, a):
+    return float(nf.gamma_many(field, q, np.array([a]))[0])
+
+
 def test_gamma_worked(presets):
     gi = presets["gaussian"]
-    assert nf.gamma_density(gi, 2, 0) == 1
-    assert nf.gamma_density(gi, 3, 1) == Fraction(4, 3)
-    assert nf.gamma_density(gi, 1, 0) == 1
+    assert gamma_at(gi, 2, 0) == 1.0
+    assert gamma_at(gi, 3, 1) == 4 / 3
+    assert gamma_at(gi, 1, 0) == 1.0
     with pytest.raises(ValueError):
-        nf.gamma_density(gi, 0, 1)
+        gamma_at(gi, 0, 1)
 
 
 def test_gamma_oracle_small_moduli(presets):
-    for name in ("gaussian", "sqrt2"):
-        norm = nf.NormForm(presets[name])
-        for q in (2, 3, 4, 5, 8, 9, 12):
-            for a in range(q):
-                assert nf.gamma_density(presets[name], q, a) == oracle_gamma(norm, q, a), (name, q, a)
-    norm3 = nf.NormForm(presets["cbrt2"])
-    for q in (2, 3, 4):
-        for a in range(q):
-            assert nf.gamma_density(presets["cbrt2"], q, a) == oracle_gamma(norm3, q, a)
+    # one correctly rounded count ratio per prime power q: exact floats;
+    # the composite 12 multiplies two of them
+    cases = [(name, q) for name in ("gaussian", "sqrt2") for q in (2, 3, 4, 5, 8, 9, 12)]
+    cases += [("cbrt2", q) for q in (2, 3, 4)]
+    for name, q in cases:
+        field = presets[name]
+        norm = nf.NormForm(field)
+        got = nf.gamma_many(field, q, np.arange(q))
+        want = [float(oracle_gamma(norm, q, a)) for a in range(q)]
+        if q == 12:
+            assert got.tolist() == pytest.approx(want, rel=1e-15), name
+        else:
+            assert got.tolist() == want, (name, q)
 
 
 def test_gamma_multiplicative(presets):
     gi = presets["gaussian"]
     for q1, q2 in ((4, 3), (5, 8), (9, 5), (3, 20)):
+        c1 = nf.norm_residue_counts(gi, q1)
+        c2 = nf.norm_residue_counts(gi, q2)
+        c12 = nf.norm_residue_counts(gi, q1 * q2)
         for a in range(q1 * q2):
-            assert nf.gamma_density(gi, q1 * q2, a) == nf.gamma_density(
-                gi, q1, a
-            ) * nf.gamma_density(gi, q2, a)
+            assert c12[a] == c1[a % q1] * c2[a % q2], (q1, q2, a)
 
 
 def test_gamma_mass(presets):
-    # summing the counts over all residues recovers q per CRT factor
+    # the counts over all residues sum to q^e, so gamma sums to q
     for name, qs in (("gaussian", (7, 12, 45)), ("cbrt2", (6, 10))):
         f = presets[name]
         for q in qs:
-            total = sum(nf.gamma_density(f, q, a) for a in range(q))
-            assert total == q
+            assert int(nf.norm_residue_counts(f, q).sum()) == q**f.degree
+            assert nf.gamma_many(f, q, np.arange(q)).sum() == pytest.approx(q, rel=1e-12)
 
 
-def test_gamma_many_matches_scalar(presets):
+def test_gamma_many_matches_scalar(presets, gaussian_norm):
     gi = presets["gaussian"]
     res = np.array([0, 1, 7, 29, 30, 59, 60, 1234567], dtype=np.int64)
     outs = nf.gamma_many(gi, 60, res)
     for r, o in zip(res, outs):
-        assert o == pytest.approx(float(nf.gamma_density(gi, 60, int(r))))
+        assert o == pytest.approx(float(oracle_gamma(gaussian_norm, 60, int(r))), rel=1e-15)
     assert nf.gamma_many(gi, 1, res).tolist() == [1.0] * len(res)
 
 
@@ -398,7 +407,7 @@ def test_mp_eval_mod_matches_scalar(case, q):
 
 def test_gamma_budget(presets):
     with pytest.raises(ResourceLimitError):
-        nf.gamma_density(presets["cbrt2"], 467, 1)
+        gamma_at(presets["cbrt2"], 467, 1)
 
 
 # --- regions and lattice counts ----------------------------------------

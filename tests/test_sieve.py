@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,18 @@ def test_mangoldt_values_match_scalar(bound, values):
     assert table.mangoldt_values(arr).tobytes() == want.tobytes()
 
 
+def test_mangoldt_beyond_vector_limit_matches_sympy():
+    # magnitudes from 2^31 on take factor; sympy is the independent oracle
+    table = _TABLES[1000]
+    mags = [2**31 + 11, 3**20, 2**31 * 3, 4294967311, 46349**2, 999983 * 1000003]
+    for n in mags:
+        fac = sympy.factorint(n)
+        want = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
+        got = table.mangoldt_values(np.array([n, -n], dtype=np.int64))
+        assert got.tolist() == [want, want], n
+        assert table.mangoldt(n).value == want, n
+
+
 def test_liouville_values_vectorized(sieve_small):
     vals = np.array([0, 1, -12, 9999, 10007 * 10009], dtype=np.int64)
     got = sieve_small.liouville_values(vals)
@@ -255,8 +268,16 @@ def test_save_load_roundtrip(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad magic"):
         sv.SieveTable.load(path)
+    good = tmp_path / "spf.bin"
+    sv.SieveTable(500).save(good)
+    raw = good.read_bytes()
+    # shorter than the header; then a payload that is not whole uint32 entries
+    for cut in (raw[:12], raw[:-2]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="truncated"):
+            sv.SieveTable.load(path)
 
 
 # -- prime power pair counts ---------------------------------------------------
