@@ -93,9 +93,12 @@ def real_solvable(instance: ChateletInstance, sign: int) -> bool:
     For even d, g(u, v) = v^d f(u/v) with f(t) = g(t, 1) and v^d > 0,
     while g(1, 0) = c0 is 0 or the sign f takes beyond its outer real
     roots.  So the signs of g are the signs of f on the gaps between its
-    real roots, decided exactly at one rational point per gap: the left
-    end of the first isolating interval and the right end of each, whose
-    endpoints are never roots (t = 0 when f has no real root).
+    distinct real roots, decided exactly at one rational point per gap:
+    the left end of the first isolating interval and the right end of
+    each (t = 0 when f has no real root).  Each interval holds one
+    distinct root and its ends are non-roots, so its right end lies in
+    the next gap; f keeps one sign on a gap whatever the multiplicities
+    of its roots, so f is isolated as given, squarefree or not.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -108,7 +111,7 @@ def real_solvable(instance: ChateletInstance, sign: int) -> bool:
         # odd degree: g(-u,-v) = -g(u,v), both signs are attained
         return True
     f = g.dehomogenized()
-    boxes = polys.isolate_real_roots(polys.squarefree_part(f))
+    boxes = polys.isolate_real_roots(f)
     samples = [boxes[0][0]] + [hi for _, hi in boxes] if boxes else [0]
     return any(sign * polys.poly_eval(f, t) > 0 for t in samples)
 

@@ -76,11 +76,13 @@ def main(argv=None) -> int:
         if args.command == "sieve":
             if args.bound < 2:
                 raise ConfigError("sieve bound must be at least 2")
-            table = sieve_mod.build_sieve(args.bound)
+            # open the output first, so an unwritable path costs no build
             try:
-                table.save(args.out)
+                fh = open(args.out, "wb")
             except OSError as exc:
                 raise ConfigError(f"cannot write sieve file: {exc}") from None
+            with fh:
+                sieve_mod.build_sieve(args.bound).write(fh)
             print(f"wrote {args.out} (bound {args.bound})")
             return 0
         if args.command == "summarize":

@@ -445,8 +445,8 @@ def _hasse_summary(records: list[dict]) -> list[tuple]:
 
 def _validate_density(cfg: ExperimentConfig) -> None:
     _validate_local(cfg)
-    if cfg.B < 1:
-        raise ConfigError("region scale B must be at least 1")
+    if not 1 <= cfg.B < math.inf:
+        raise ConfigError("region scale B must be finite and at least 1")
     if cfg.mc < 1000:
         raise ConfigError("mc must be at least 1000")
     if cfg.bins < 2:
@@ -754,14 +754,18 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute the experiment; write results.jsonl, summary.csv, manifest.json."""
     cfg.validate()
     out = Path(cfg.out)
+    started = _utcnow()
+    t0 = time.perf_counter()
+    try:
+        # the state depends only on the config, so a budget it exceeds is a config error
+        _hold_state(cfg)
+    except ResourceLimitError as exc:
+        raise ConfigError(f"{cfg.kind} run state: {exc}") from None
+    t1 = time.perf_counter()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    started = _utcnow()
-    t0 = time.perf_counter()
-    _hold_state(cfg)
-    t1 = time.perf_counter()
     records = compute_records(cfg)
     t2 = time.perf_counter()
     results = out / "results.jsonl"

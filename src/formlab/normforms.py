@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -182,22 +183,25 @@ class NumberField:
             row = []
             for j in range(e):
                 prod = [0] * (i + j) + [1]
-                rem = polys.poly_rem_int_monic(prod, list(poly))
-                rem = rem + [0] * (e - len(rem))
-                row.append(tuple(rem[:e]))
+                rem = polys.poly_divmod(prod, poly)[1]
+                if any(c.denominator != 1 for c in rem):  # poly is monic, so rem is integral
+                    raise ArithmeticError("basis product left the integers")
+                row.append(tuple(int(c) for c in rem) + (0,) * (e - len(rem)))
             table.append(tuple(row))
         r1 = len(polys.isolate_real_roots(list(poly)))
         sig = (r1, (e - r1) // 2)
         return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name)
 
 
-def field_presets() -> dict[str, NumberField]:
-    return {
+@cache
+def field_presets() -> Mapping[str, NumberField]:
+    """The preset fields, built once per process; read-only, since callers share them."""
+    return MappingProxyType({
         "gaussian": NumberField.power_basis([1, 0, 1], index=1, name="gaussian"),
         "sqrt2": NumberField.power_basis([-2, 0, 1], index=1, name="sqrt2"),
         "cbrt2": NumberField.power_basis([-2, 0, 0, 1], index=1, name="cbrt2"),
         "coray": NumberField.power_basis([-7, 14, -7, 1], index=1, name="coray"),
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,8 @@ class RegionB:
     """
 
     def __init__(self, norm: NormForm, B: float):
-        if B < 1:
-            raise ValueError("scale B must be >= 1")
+        if not 1 <= B < math.inf:
+            raise ValueError("scale B must be finite and >= 1")
         self.norm = norm
         self.B = float(B)
         e = norm.field.degree
@@ -413,6 +417,9 @@ class RegionB:
         if abs(norm.eval_float(np.array([self.x1]))[0] - 0.5) > 1e-12:
             raise ValueError("basepoint does not hit 1/2")
         self.coord, self.kappa, self.cert_inf = _certify_kappa(norm, self.x1)
+        # the budget comes first, so a huge B fails here and not in B**e
+        if math.prod(max(0, hi - lo + 1) for lo, hi in self.lattice_bounds()) > _LATTICE_BUDGET:
+            raise ResourceLimitError("lattice box exceeds the point budget")
         self._hist: Optional[dict[int, int]] = None
         lo, hi = _mp_box_range(norm.poly, self.x1, self.kappa)
         self.support = (lo * self.B**e, hi * self.B**e)
@@ -435,11 +442,6 @@ class RegionB:
         if self._hist is not None:
             return self._hist
         bounds = self.lattice_bounds()
-        total = 1
-        for lo, hi in bounds:
-            total *= max(0, hi - lo + 1)
-        if total > _LATTICE_BUDGET:
-            raise ResourceLimitError("lattice box exceeds the point budget")
         worst = max(abs(b) for lohi in bounds for b in lohi) + 1
         coef_norm = sum(abs(c) for c in self.norm.poly.values())
         if coef_norm * worst ** self.norm.field.degree >= 2**62:

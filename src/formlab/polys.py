@@ -2,10 +2,11 @@
 
 Polynomials are sequences of coefficients in ascending degree order:
 index i holds the t^i coefficient.  Integer routines (resultants,
-discriminants) are fraction-free via Bareiss elimination; real-root
-isolation by Sturm chains runs on Fractions, so every isolating interval
-is exact.  A dense mod-p toolkit provides gcds and factor shapes at
-primes.
+discriminants) are fraction-free via Bareiss elimination; division is
+over the rationals.  Real-root isolation by Sturm chains runs on
+Fractions on the polynomial as given, squarefree or not, so every
+isolating interval is exact.  A dense mod-p toolkit provides gcds and
+factor shapes at primes.
 """
 
 from __future__ import annotations
@@ -62,47 +63,6 @@ def poly_divmod(f: Sequence, g: Sequence) -> tuple[list, list]:
             r[dr - dg + i] -= coef * gc
         r[dr] = Fraction(0)
     return trim(q), trim(r)
-
-
-def poly_gcd_q(f: Sequence, g: Sequence) -> list:
-    """Monic gcd over the rationals (empty list for gcd of two zeros)."""
-    a = trim([Fraction(c) for c in f])
-    b = trim([Fraction(c) for c in g])
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return []
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
-def int_content(f: Sequence) -> int:
-    out = 0
-    for c in f:
-        out = math.gcd(out, int(c))
-    return out
-
-
-def int_primitive(f: Sequence) -> list:
-    """Primitive part with positive leading coefficient."""
-    f = trim(f)
-    if not f:
-        return []
-    c = int_content(f)
-    if f[-1] < 0:
-        c = -c
-    return [int(a) // c for a in f]
-
-
-def clear_denominators(f: Sequence) -> list:
-    """Integer multiple of a rational polynomial, primitive, lc > 0."""
-    f = [Fraction(c) for c in trim(f)]
-    if not f:
-        return []
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return int_primitive([int(c * den) for c in f])
 
 
 def has_rational_root(f: Sequence[int]) -> bool:
@@ -189,20 +149,8 @@ def discriminant(f: Sequence[int]) -> int:
     return num // lc
 
 
-def squarefree_part(f: Sequence[int]) -> list:
-    """Primitive squarefree integer polynomial with the same real roots."""
-    f = trim(f)
-    if degree(f) < 1:
-        return trim([int(c) for c in f])
-    g = poly_gcd_q(f, poly_deriv(f))
-    q, r = poly_divmod(f, g)
-    if r:
-        raise ArithmeticError("gcd does not divide the polynomial")
-    return clear_denominators(q)
-
-
 # ---------------------------------------------------------------------------
-# Real roots via Sturm chains.  Input must be squarefree.
+# Real roots via Sturm chains.
 
 def sturm_chain(f: Sequence) -> list[list[Fraction]]:
     f = trim([Fraction(c) for c in f])
@@ -250,10 +198,13 @@ def _split_points(a: Fraction, b: Fraction):
 
 
 def isolate_real_roots(f: Sequence) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals, one simple real root in each, in increasing order.
+    """Disjoint rational intervals, one distinct real root in each, in increasing order.
 
-    f must be squarefree.  Every returned endpoint is a non-root, so the
-    sign of f changes across each interval.
+    f need not be squarefree: every member of its Sturm chain is
+    gcd(f, f') times the matching member of the squarefree part's chain,
+    and that gcd is nonzero wherever f is, so the sign variations at
+    non-roots still count distinct real roots.  Every returned endpoint
+    is a non-root of f.
     """
     f = trim([Fraction(c) for c in f])
     if degree(f) < 1:
@@ -419,17 +370,3 @@ def factor_shape_mod_p(f: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
             shape.extend([(deg, mult)] * count)
     return tuple(sorted(shape))
 
-
-def poly_rem_int_monic(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Remainder of integer f modulo monic integer g (stays in Z)."""
-    g = trim(g)
-    if not g or g[-1] != 1:
-        raise ValueError("modulus must be monic")
-    r = [int(c) for c in f]
-    dg = len(g) - 1
-    while degree(r) >= dg:
-        dr = degree(r)
-        c = r[dr]
-        for i in range(dg + 1):
-            r[dr - dg + i] -= c * g[i]
-    return trim(r)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,9 +88,13 @@ class SieveTable:
 
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", self.bound))
-            fh.write(self._spf.astype("<u4", copy=False).tobytes())
+            self.write(fh)
+
+    def write(self, fh: BinaryIO) -> None:
+        """Write the table to an open binary file, in the format `load` reads."""
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<Q", self.bound))
+        fh.write(self._spf.astype("<u4", copy=False).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "SieveTable":

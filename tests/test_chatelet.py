@@ -23,6 +23,7 @@ from formlab.normforms import (
     DedekindLocal,
     DensityProfile,
     NormForm,
+    NumberField,
     RegionB,
     field_presets,
     gamma_many,
@@ -174,6 +175,10 @@ def _real_cases(draw):
 @example(case=("sqrt2", [-12, -12, -3]), sign=1)  # -3(2u + v)^2
 @example(case=("gaussian", [0, 0, 0]), sign=1)  # the zero form
 @example(case=("cbrt2", [0, 0, 0, 0, 0, 0, 1]), sign=-1)  # c0 = 0, even power of v
+@example(case=("sqrt2", [1, -2, 0, 2, -1]), sign=1)  # (u - v)^3 (u + v): a triple root
+@example(case=("sqrt2", [1, -2, 0, 2, -1]), sign=-1)
+@example(case=("sqrt2", [1, -2, 2, -2, 1]), sign=1)  # (u - v)^2 (u^2 + v^2)
+@example(case=("sqrt2", [1, -2, 2, -2, 1]), sign=-1)
 def test_real_solvable_matches_sympy_oracle(fields, case, sign):
     name, coeffs = case
     field = fields[name]
@@ -788,6 +793,7 @@ def test_hasse_run_builds_one_norm_form(fields, monkeypatch):
 
     monkeypatch.setattr(NormForm, "__init__", counting_init)
     monkeypatch.setattr(harness, "_STATE", {})
+    field_presets.cache_clear()  # fresh fields, whose norm forms are not built yet
     cfg = harness.make_config("hasse", {"height": 30, "primes": 20, "samples": 20,
                                         "seed": 5, "mc": 2000, "workers": 1})
     assert len(harness.compute_records(cfg)) == 20
@@ -797,6 +803,27 @@ def test_hasse_run_builds_one_norm_form(fields, monkeypatch):
     assert field == fields["gaussian"] and hash(field) == hash(fields["gaussian"])
     for f in fields.values():
         assert f.disc == polys.discriminant(list(f.poly))
+
+
+def test_field_presets_built_once(monkeypatch):
+    # a run validates its config and builds its state from one set of presets
+    built = []
+    power_basis = NumberField.power_basis.__func__
+
+    def counting(cls, poly, *args, **kwargs):
+        built.append(tuple(poly))
+        return power_basis(cls, poly, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "power_basis", classmethod(counting))
+    monkeypatch.setattr(harness, "_STATE", {})
+    field_presets.cache_clear()
+    cfg = harness.make_config("hasse", {"samples": 2, "mc": 2000, "workers": 1})
+    assert len(harness.compute_records(cfg)) == 2
+    assert len(built) == 4
+    presets = field_presets()
+    assert presets is field_presets() and len(built) == 4
+    with pytest.raises(TypeError):
+        presets["gaussian"] = presets["sqrt2"]
 
 
 def test_density_experiment_records(Qi):

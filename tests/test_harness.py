@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.strategies import fixed_dictionaries
 
 from formlab import chowla_bh, cli, harness
+from formlab import sieve as sieve_mod
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
 from formlab.forms import _EVAL_BLOCK
 from formlab.normforms import field_presets
@@ -649,15 +650,26 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     ["bh", "--anchor", "--x", "2", *_RUN_OUT],
     ["sieve", "--bound", "100", "--out", "{tmp}/missing/d/s.bin"],
     ["sieve", "--bound", "100", "--out", "{tmp}"],
+    # density reads B only at its default of 0 samples
+    ["density", "--B", "1e6", "--out", "{tmp}/x"],
+    ["density", "--B", "nan", "--out", "{tmp}/x"],
+    ["density", "--B", "inf", "--out", "{tmp}/x"],
+    ["density", "--B", "1e300", "--out", "{tmp}/x"],
+    ["hasse", "--samples", "1", "--x", "10000", "--out", "{tmp}/x"],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
-        "sieve-out-missing-dir", "sieve-out-is-directory"])
-def test_cli_config_error_exit_two(tmp_path, capsys, argv):
+        "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
+        "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget"])
+def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
+    builds = []
+    build_sieve = sieve_mod.build_sieve
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
     code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "config"
     assert not (tmp_path / "x").exists()
+    assert builds == []
 
 
 def test_cli_kind_mismatch_in_config_file(tmp_path, capsys):

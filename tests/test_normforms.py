@@ -103,6 +103,19 @@ def test_multiplication_table_gaussian(presets):
     assert gi.table[1][1] == (-1, 0)
 
 
+def test_power_basis_table_matches_sympy(presets):
+    # theta^i * theta^j = rem(t^(i+j), poly), with integer coordinates
+    t = sympy.Symbol("t")
+    for field in presets.values():
+        poly = sum(c * t**k for k, c in enumerate(field.poly))
+        e = field.degree
+        for i, j in itertools.product(range(e), repeat=2):
+            rem = sympy.Poly(sympy.rem(t ** (i + j), poly, t), t)
+            want = tuple(int(rem.coeff_monomial(t**k)) for k in range(e))
+            assert field.table[i][j] == want, (field.name, i, j)
+            assert all(type(c) is int for c in field.table[i][j])
+
+
 # --- norm form ---------------------------------------------------------
 
 def test_norm_worked_values(presets, gaussian_norm):
@@ -454,6 +467,12 @@ def test_region_negative_sign_imaginary_raises(gaussian_norm):
 def test_region_budget(gaussian_norm):
     with pytest.raises(ResourceLimitError):
         nf.RegionB(gaussian_norm, 4.0e4).histogram()
+    # the budget is applied before B**e is formed, so a huge B cannot overflow
+    with pytest.raises(ResourceLimitError):
+        nf.RegionB(gaussian_norm, 1e300)
+    for B in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nf.RegionB(gaussian_norm, B)
 
 
 def test_region_cubic(presets):

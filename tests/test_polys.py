@@ -93,21 +93,21 @@ def test_bareiss_det():
 
 
 def test_real_root_isolation_counts():
+    # f is isolated as given: one interval per distinct real root, with
+    # endpoints that are not roots, also when roots repeat
     rng = random.Random(31)
-    for _ in range(40):
-        f = _random_poly(rng, rng.randint(1, 5))
-        sf = polys.squarefree_part(f)
-        want = len(sympy.real_roots(_to_sympy(sf)))
-        got = polys.isolate_real_roots(sf)
-        assert len(got) == want
+    repeated = [
+        _product(_product([-1, 1], [-1, 1]), [2, 1]),  # (t-1)^2 (t+2)
+        _product([0, 1], _product([-2, 0, 1], [-2, 0, 1])),  # t (t^2-2)^2
+        _product(_product([-1, 1], [-1, 1]), _product([-1, 1], [1, 1])),  # (t-1)^3 (t+1)
+    ]
+    for f in repeated + [_random_poly(rng, rng.randint(1, 5)) for _ in range(40)]:
+        want = len(set(sympy.real_roots(_to_sympy(f))))
+        got = polys.isolate_real_roots(f)
+        assert len(got) == want, f
         for lo, hi in got:
             assert lo <= hi
-
-
-def test_squarefree_part():
-    # (t-1)^2 (t+2) -> (t-1)(t+2)
-    f = _product(_product([-1, 1], [-1, 1]), [2, 1])
-    assert polys.squarefree_part(f) == _product([-1, 1], [2, 1])
+            assert polys.poly_eval(f, lo) != 0 and polys.poly_eval(f, hi) != 0
 
 
 def test_factor_shape_matches_sympy():
@@ -130,15 +130,6 @@ def test_factor_shape_gaussian_examples():
     assert polys.factor_shape_mod_p(f, 2) == ((1, 2),)
 
 
-def test_poly_rem_int_monic():
-    rng = random.Random(71)
-    for _ in range(30):
-        f = _random_poly(rng, rng.randint(0, 6))
-        g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1]
-        r = polys.poly_rem_int_monic(f, g)
-        q, r2 = polys.poly_divmod(f, g)
-        assert [Fraction(c) for c in r] == r2
-        assert all(isinstance(c, int) for c in r)
 
 
 def test_pmod_gcd_monic():
