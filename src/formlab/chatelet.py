@@ -87,33 +87,31 @@ def make_instance(field: NumberField, coeffs: Sequence[int]) -> ChateletInstance
 # ---------------------------------------------------------------------------
 # Real solvability.
 
-def real_solvable(instance: ChateletInstance, sign: int) -> bool:
-    """Does the sign range of N_K meet the sign-`sign` values of g?
+def real_solvable(instance: ChateletInstance) -> bool:
+    """Does N_K(x) = g(u, v) != 0 have a real solution?
 
-    For even d, g(u, v) = v^d f(u/v) with f(t) = g(t, 1) and v^d > 0,
-    while g(1, 0) = c0 is 0 or the sign f takes beyond its outer real
-    roots.  So the signs of g are the signs of f on the gaps between its
-    distinct real roots, decided exactly at one rational point per gap:
-    the left end of the first isolating interval and the right end of
+    N_K takes every positive value, and every negative one when K has a
+    real place, so a nonzero g is solvable when d is odd (g(-u, -v) =
+    -g(u, v)) or K is not totally imaginary, else when g takes a positive
+    value.  For even d, g(u, v) = v^d f(u/v) with f(t) = g(t, 1) and
+    v^d > 0, while g(1, 0) = c0 is 0 or the sign f takes beyond its outer
+    real roots.  So the signs of g are the signs of f on the gaps between
+    its distinct real roots, decided exactly at one rational point per
+    gap: the left end of the first isolating interval and the right end of
     each (t = 0 when f has no real root).  Each interval holds one
-    distinct root and its ends are non-roots, so its right end lies in
-    the next gap; f keeps one sign on a gap whatever the multiplicities
-    of its roots, so f is isolated as given, squarefree or not.
+    distinct root and its ends are non-roots, so its right end lies in the
+    next gap; f keeps one sign on a gap whatever the multiplicities of its
+    roots, so f is isolated as given, squarefree or not.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     g = instance.form
     if g.is_zero:
         return False
-    if sign == -1 and instance.field.totally_imaginary:
-        return False
-    if g.degree % 2 == 1:
-        # odd degree: g(-u,-v) = -g(u,v), both signs are attained
+    if g.degree % 2 == 1 or not instance.field.totally_imaginary:
         return True
     f = g.dehomogenized()
     boxes = polys.isolate_real_roots(f)
     samples = [boxes[0][0]] + [hi for _, hi in boxes] if boxes else [0]
-    return any(sign * polys.poly_eval(f, t) > 0 for t in samples)
+    return any(polys.poly_eval(f, t) > 0 for t in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +347,9 @@ def model_W(w_desk: int, k_desk: int) -> int:
     return out
 
 
-def _value_table(instance: ChateletInstance, x: int) -> np.ndarray:
+def value_table(instance: ChateletInstance, x: int) -> np.ndarray:
     """g(m, n) for -x <= m, n <= x with n != 0, flat int64, m-major (only
-    the multiset of values matters)."""
+    the multiset of values matters): the one table both counts read."""
     if x < 1:
         raise ValueError("x must be at least 1")
     d = instance.d
@@ -364,31 +362,29 @@ def _value_table(instance: ChateletInstance, x: int) -> np.ndarray:
     return forms.form_grid(instance.form, ms, ms[ms != 0]).ravel()
 
 
-def count_Nc(instance: ChateletInstance, x: int, region: RegionB) -> int:
-    """Exact solution count over |m|,|n| <= x, n != 0, via the histogram."""
-    vals = _value_table(instance, x)
-    hist = region.histogram()
-    uniq, cnt = np.unique(vals, return_counts=True)
-    total = 0
-    for u, c in zip(uniq, cnt):
-        total += hist.get(int(u), 0) * int(c)
-    return total
+def count_Nc(vals: np.ndarray, region: RegionB) -> int:
+    """Exact solution count: the region's lattice points whose norm is a
+    value of the table `vals`, counted with the table's multiplicity."""
+    values, counts = region.histogram()
+    if not len(values):
+        return 0
+    pos = np.minimum(np.searchsorted(values, vals), len(values) - 1)
+    return int(counts[pos][values[pos] == vals].sum())
 
 
 def localized_Nc(
-    instance: ChateletInstance,
-    x: int,
+    field: NumberField,
+    vals: np.ndarray,
     W_powered: int,
     profile: DensityProfile,
 ) -> tuple[float, float]:
-    """Model count: sum of gamma(W, g(m,n)) * omega_hat(g(m,n)).
+    """Model count over the value table `vals`: sum of gamma(W, v) * omega_hat(v).
 
     The gamma weight is exact per residue class; omega_hat comes from the
     run's shared Monte-Carlo draw of a region (`profile.region`), whose
     variance is propagated through the weighted sum.
     """
-    vals = _value_table(instance, x)
-    weights = gamma_many(instance.field, W_powered, vals)
+    weights = gamma_many(field, W_powered, vals)
     return profile.aggregate(vals.astype(np.float64), weights)
 
 
@@ -552,7 +548,7 @@ def classify_coeffs(
     inst = ChateletInstance(field=field, form=BinaryForm(coeffs))
     if not inst.in_S(H):
         return "not-in-S", None, [], None
-    if not (real_solvable(inst, 1) or real_solvable(inst, -1)):
+    if not real_solvable(inst):
         return "locally-obstructed", None, [], "real place"
     verdicts: list[tuple[int, str]] = []
     for p in tested_primes(inst, prime_cutoff):

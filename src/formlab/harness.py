@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
         if self.d < 1 or self.H < 1:
             raise ConfigError("d and H must be positive")
+        if self.H > 2**63 - 2:
+            # the cube draws integers(-H, H + 1) as int64
+            raise ConfigError("H must be at most 2^63 - 2")
         protocol.validate(self)
 
     def to_dict(self) -> dict:
@@ -369,6 +372,12 @@ def _validate_local(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{', '.join(desk)} must be positive")
 
 
+def _validate_hasse(cfg: ExperimentConfig) -> None:
+    if cfg.height < 1:
+        raise ConfigError("height must be at least 1")
+    _validate_local(cfg)
+
+
 def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
     """Region, MC profile and model modulus; B defaults to the count's scale."""
     field = field_presets()[cfg.field]
@@ -388,8 +397,9 @@ def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
 
 def _counts(cfg: ExperimentConfig, state: dict, inst: chatelet.ChateletInstance):
     """(Nc, Nc_hat, Nc_err): the exact count and its localized model."""
-    nc = chatelet.count_Nc(inst, cfg.x, state["region"])
-    est, err = chatelet.localized_Nc(inst, cfg.x, state["W"], state["profile"])
+    vals = chatelet.value_table(inst, cfg.x)
+    nc = chatelet.count_Nc(vals, state["region"])
+    est, err = chatelet.localized_Nc(inst.field, vals, state["W"], state["profile"])
     return nc, float(est), float(err)
 
 
@@ -627,7 +637,7 @@ PROTOCOLS: dict[str, Protocol] = {
                 "k_desk", "m_dk", "mc"),
         defaults={"d": 2, "H": 20, "height": 200, "primes": 50, "samples": 400,
                   "x": 20, "mc": 20000},
-        validate=_validate_local,
+        validate=_validate_hasse,
         build_state=_local_state,
         records=per_index(_hasse_record),
         summary=_hasse_summary,
@@ -750,10 +760,22 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _creatable_dir(out: Path) -> bool:
+    """Whether `out` is, or mkdir can make it, a directory, checked without
+    creating it: its nearest existing path must be a writable directory."""
+    near = out.absolute()
+    while not near.exists():
+        near = near.parent
+    return near.is_dir() and os.access(near, os.W_OK | os.X_OK)
+
+
 def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute the experiment; write results.jsonl, summary.csv, manifest.json."""
     cfg.validate()
     out = Path(cfg.out)
+    # before the state build, so a bad path costs no sieve or region
+    if not _creatable_dir(out):
+        raise ConfigError(f"cannot create output directory {out}")
     started = _utcnow()
     t0 = time.perf_counter()
     try:

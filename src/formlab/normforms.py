@@ -420,7 +420,7 @@ class RegionB:
         # the budget comes first, so a huge B fails here and not in B**e
         if math.prod(max(0, hi - lo + 1) for lo, hi in self.lattice_bounds()) > _LATTICE_BUDGET:
             raise ResourceLimitError("lattice box exceeds the point budget")
-        self._hist: Optional[dict[int, int]] = None
+        self._hist: Optional[tuple[np.ndarray, np.ndarray]] = None
         lo, hi = _mp_box_range(norm.poly, self.x1, self.kappa)
         self.support = (lo * self.B**e, hi * self.B**e)
 
@@ -437,8 +437,9 @@ class RegionB:
             out.append((lo, hi))
         return out
 
-    def histogram(self) -> dict[int, int]:
-        """Exact counts of each norm value over lattice points of B*box."""
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact counts of the norm values over lattice points of B*box:
+        the sorted distinct values and their counts, built once."""
         if self._hist is not None:
             return self._hist
         bounds = self.lattice_bounds()
@@ -449,8 +450,9 @@ class RegionB:
         axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
         mesh = np.meshgrid(*axes, indexing="ij")
         vals = self.norm(mesh)
-        uniq, cnt = np.unique(vals.ravel(), return_counts=True)
-        self._hist = {int(u): int(c) for u, c in zip(uniq, cnt)}
+        self._hist = np.unique(vals.ravel(), return_counts=True)
+        for arr in self._hist:  # shared by every caller
+            arr.flags.writeable = False
         return self._hist
 
 

@@ -355,7 +355,8 @@ def test_c09_supplement_window_convergence(runs):
     gaps = []
     for r in recs:
         inst = ch.make_instance(state["field"], r["coeffs"])
-        est, _ = ch.localized_Nc(inst, pair.cfg.x, W, profile=state["profile"])
+        est, _ = ch.localized_Nc(inst.field, ch.value_table(inst, pair.cfg.x), W,
+                                 profile=state["profile"])
         gaps.append(abs(r["Nc"] - est) / max(r["Nc"], est, 1.0))
     med = float(np.median(gaps))
     assert med <= 0.05, f"strong-window median relative gap {med:.4f}"

@@ -74,50 +74,37 @@ def test_bad_primes_cover_edges_and_discs(Qi):
 # Real solvability.
 
 def test_real_imaginary_field_positive_form(Qi):
-    inst = inst_of(Qi, [1, 0, 1])
-    assert ch.real_solvable(inst, 1) is True
-    assert ch.real_solvable(inst, -1) is False
+    assert ch.real_solvable(inst_of(Qi, [1, 0, 1])) is True
 
 
 def test_real_imaginary_field_negative_form(Qi):
     # -3(2u + v)^2 and -(u^2 - 2v^2)^2 touch 0 but never turn positive
     for coeffs in ([-1, 0, -1], [-12, -12, -3], [-1, 0, 4, 0, -4]):
-        inst = inst_of(Qi, coeffs)
-        assert ch.real_solvable(inst, 1) is False
-        assert ch.real_solvable(inst, -1) is False
+        assert ch.real_solvable(inst_of(Qi, coeffs)) is False
 
 
 def test_real_embedded_field(fields):
-    # indefinite g: both signs attained on both sides
-    ind = inst_of(fields["sqrt2"], [1, 0, -1])
-    assert ch.real_solvable(ind, 1) is True
-    assert ch.real_solvable(ind, -1) is True
-    # definite g only ever takes positive values, so the negative-sign
-    # part of its range is empty regardless of the field's signature
-    pos = inst_of(fields["sqrt2"], [1, 0, 1])
-    assert ch.real_solvable(pos, 1) is True
-    assert ch.real_solvable(pos, -1) is False
-    # nonpositive squares with a rational and an irrational double root
-    for coeffs in ([-12, -12, -3], [-1, 0, 4, 0, -4]):
-        neg = inst_of(fields["sqrt2"], coeffs)
-        assert ch.real_solvable(neg, 1) is False
-        assert ch.real_solvable(neg, -1) is True
+    # N_K takes both signs, so every nonzero g is solvable: indefinite,
+    # positive definite, and nonpositive squares with a rational and an
+    # irrational double root
+    for coeffs in ([1, 0, -1], [1, 0, 1], [-12, -12, -3], [-1, 0, 4, 0, -4]):
+        assert ch.real_solvable(inst_of(fields["sqrt2"], coeffs)) is True
 
 
 def test_real_odd_degree_both_signs(fields):
-    inst = inst_of(fields["cbrt2"], [5, 1, -2, 7])
-    assert ch.real_solvable(inst, 1) is True
-    assert ch.real_solvable(inst, -1) is True
+    assert ch.real_solvable(inst_of(fields["cbrt2"], [5, 1, -2, 7])) is True
 
 
-def test_real_zero_form_and_bad_sign(Qi):
-    assert ch.real_solvable(inst_of(Qi, [0, 0, 0]), 1) is False
-    with pytest.raises(ValueError):
-        ch.real_solvable(inst_of(Qi, [1, 0, 1]), 0)
+def test_real_zero_form_and_bad_sign(Qi, fields):
+    assert ch.real_solvable(inst_of(Qi, [0, 0, 0])) is False
+    assert ch.real_solvable(inst_of(fields["sqrt2"], [0, 0, 0])) is False
+    # the verdict covers both signs at once, so a sign is no argument
+    with pytest.raises(TypeError):
+        ch.real_solvable(inst_of(Qi, [1, 0, 1]), 1)
 
 
-def oracle_real_signs(field, coeffs):
-    """Signs of N_K(x) = g(u, v) != 0 over R, found with sympy alone.
+def oracle_g_signs(coeffs):
+    """Signs of the nonzero values of g(u, v) over R, found with sympy alone.
 
     g(t, 1) is sampled at a rational point of each gap between its
     distinct real roots; g(1, 0) = c0 covers v = 0.
@@ -137,10 +124,16 @@ def oracle_real_signs(field, coeffs):
         points = [0]
     signs = {sympy.sign(f.eval(x)) for x in points} | {sympy.sign(coeffs[0])}
     signs.discard(0)
-    field_poly = sympy.Poly(list(reversed(field.poly)), t)
-    if not sympy.real_roots(field_poly):  # totally imaginary: N_K > 0
-        signs.discard(-1)
     return signs
+
+
+def oracle_real(field, coeffs):
+    """N_K(x) = g(u, v) != 0 over R: N_K takes every positive value, and
+    every negative one unless sympy finds no real root of K's polynomial."""
+    t = sympy.symbols("t")
+    imaginary = not sympy.real_roots(sympy.Poly(list(reversed(field.poly)), t))
+    odd = (len(coeffs) - 1) % 2 == 1
+    return 1 in oracle_g_signs(coeffs) or (any(coeffs) and (odd or not imaginary))
 
 
 # forms h(u, v) with irrational, rational or no real roots, planted as squares
@@ -169,22 +162,21 @@ def _real_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_real_cases(), sign=st.sampled_from([1, -1]))
-@example(case=("sqrt2", [-1, 0, 4, 0, -4]), sign=-1)  # -(u^2 - 2v^2)^2
-@example(case=("sqrt2", [-1, 0, 4, 0, -4]), sign=1)
-@example(case=("sqrt2", [-12, -12, -3]), sign=1)  # -3(2u + v)^2
-@example(case=("gaussian", [0, 0, 0]), sign=1)  # the zero form
-@example(case=("cbrt2", [0, 0, 0, 0, 0, 0, 1]), sign=-1)  # c0 = 0, even power of v
-@example(case=("sqrt2", [1, -2, 0, 2, -1]), sign=1)  # (u - v)^3 (u + v): a triple root
-@example(case=("sqrt2", [1, -2, 0, 2, -1]), sign=-1)
-@example(case=("sqrt2", [1, -2, 2, -2, 1]), sign=1)  # (u - v)^2 (u^2 + v^2)
-@example(case=("sqrt2", [1, -2, 2, -2, 1]), sign=-1)
-def test_real_solvable_matches_sympy_oracle(fields, case, sign):
+@given(case=_real_cases())
+@example(case=("sqrt2", [-1, 0, 4, 0, -4]))  # -(u^2 - 2v^2)^2
+@example(case=("sqrt2", [-12, -12, -3]))  # -3(2u + v)^2
+@example(case=("sqrt2", [-2, 1, -3]))  # negative definite, K with a real place
+@example(case=("gaussian", [-2, 1, -3]))  # negative definite, K totally imaginary
+@example(case=("gaussian", [0, 0, 0]))  # the zero form
+@example(case=("cbrt2", [0, 0, 0, 0, 0, 0, 1]))  # c0 = 0, even power of v
+@example(case=("sqrt2", [1, -2, 0, 2, -1]))  # (u - v)^3 (u + v): a triple root
+@example(case=("sqrt2", [1, -2, 2, -2, 1]))  # (u - v)^2 (u^2 + v^2)
+def test_real_solvable_matches_sympy_oracle(fields, case):
     name, coeffs = case
     field = fields[name]
-    got = ch.real_solvable(inst_of(field, coeffs), sign)
+    got = ch.real_solvable(inst_of(field, coeffs))
     assert type(got) is bool
-    assert got == (sign in oracle_real_signs(field, coeffs))
+    assert got == oracle_real(field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +541,25 @@ def brute_count(field, coeffs, x, region) -> int:
 
 def test_count_matches_brute_double_loop(Qi, region40):
     for coeffs in ([39, 2, -3], [26, 44, -32], [1, 0, 1], [-7, 3, 50]):
-        inst = inst_of(Qi, coeffs)
-        assert ch.count_Nc(inst, 40, region40) == brute_count(Qi, coeffs, 40, region40)
+        vals = ch.value_table(inst_of(Qi, coeffs), 40)
+        assert ch.count_Nc(vals, region40) == brute_count(Qi, coeffs, 40, region40)
 
 
 def test_count_zero_when_ranges_disjoint(Qi, region40):
     # small values never reach the histogram support
-    assert ch.count_Nc(inst_of(Qi, [1, 0, 1]), 5, region40) == 0
+    assert ch.count_Nc(ch.value_table(inst_of(Qi, [1, 0, 1]), 5), region40) == 0
+
+
+def test_count_empty_region(Qi):
+    # at B = 1 the box around (2^(-1/2), 0) holds no lattice point
+    empty = RegionB(NormForm(Qi), 1.0)
+    assert empty.histogram()[0].size == 0
+    assert ch.count_Nc(ch.value_table(inst_of(Qi, [1, 0, 1]), 5), empty) == 0
 
 
 def test_count_monotone_in_x(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
-    counts = [ch.count_Nc(inst, x, region40) for x in (10, 20, 30, 40)]
+    counts = [ch.count_Nc(ch.value_table(inst, x), region40) for x in (10, 20, 30, 40)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -568,13 +567,14 @@ def test_count_swapped_loop_order_identical(Qi, region40):
     # transposing the (m, n) grid permutes the value multiset only
     inst = inst_of(Qi, [14, -9, 21])
     swapped = inst_of(Qi, [21, -9, 14])  # g(n, m)
-    assert ch.count_Nc(inst, 40, region40) == ch.count_Nc(swapped, 40, region40)
+    assert (ch.count_Nc(ch.value_table(inst, 40), region40)
+            == ch.count_Nc(ch.value_table(swapped, 40), region40))
 
 
 def test_value_table_overflow_guard(Qi):
     big = inst_of(Qi, [2**40, 0, 2**40])
     with pytest.raises(ResourceLimitError):
-        ch._value_table(big, 4000)
+        ch.value_table(big, 4000)
 
 
 def test_default_B_convention(Qi):
@@ -590,17 +590,17 @@ def test_default_B_convention(Qi):
 def test_localized_pure_archimedean(Qi, region40):
     inst = inst_of(Qi, [39, 2, -3])
     prof = DensityProfile.draw(region40, 20000, 5)
-    vals = ch._value_table(inst, 40)
-    est, err = ch.localized_Nc(inst, 40, 1, profile=prof)
+    vals = ch.value_table(inst, 40)
+    est, err = ch.localized_Nc(Qi, vals, 1, profile=prof)
     ref, referr = prof.aggregate(vals.astype(np.float64), np.ones(len(vals)))
     assert est == ref and err == referr
 
 
 def test_localized_deterministic_given_seed(Qi, region40):
-    inst = inst_of(Qi, [39, 2, -3])
-    a = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 9))
-    b = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 9))
-    c = ch.localized_Nc(inst, 40, 30, DensityProfile.draw(region40, 5000, 10))
+    vals = ch.value_table(inst_of(Qi, [39, 2, -3]), 40)
+    a = ch.localized_Nc(Qi, vals, 30, DensityProfile.draw(region40, 5000, 9))
+    b = ch.localized_Nc(Qi, vals, 30, DensityProfile.draw(region40, 5000, 9))
+    c = ch.localized_Nc(Qi, vals, 30, DensityProfile.draw(region40, 5000, 10))
     assert a == b
     assert a != c
 
@@ -624,9 +624,9 @@ def test_localized_converges_to_exact_count(Qi, region40):
     W = ch.model_W(19, 3)
     prof = DensityProfile.draw(region40, 100000, 7)
     for coeffs in ([39, 2, -3], [26, 44, -32]):
-        inst = inst_of(Qi, coeffs)
-        nc = ch.count_Nc(inst, 40, region40)
-        est, _ = ch.localized_Nc(inst, 40, W, profile=prof)
+        vals = ch.value_table(inst_of(Qi, coeffs), 40)
+        nc = ch.count_Nc(vals, region40)
+        est, _ = ch.localized_Nc(Qi, vals, W, profile=prof)
         assert nc > 100
         assert abs(nc - est) / nc < 0.05, (coeffs, nc, est)
 
@@ -836,7 +836,7 @@ def test_density_experiment_records(Qi):
     assert [r["index"] for r in recs] == sorted(set(r["index"] for r in recs))
     for r in recs:
         assert r["coeffs"][0] * r["coeffs"][-1] != 0
-        assert r["Nc"] == ch.count_Nc(inst_of(Qi, r["coeffs"]), 40, region)
+        assert r["Nc"] == ch.count_Nc(ch.value_table(inst_of(Qi, r["coeffs"]), 40), region)
         assert r["within"] == (abs(r["Nc"] - r["Nc_hat"]) <= 3 * r["Nc_err"])
     again = [r for r in harness.compute_records(cfg) if r["record"] == "instance"]
     assert recs == again

@@ -656,10 +656,21 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     ["density", "--B", "inf", "--out", "{tmp}/x"],
     ["density", "--B", "1e300", "--out", "{tmp}/x"],
     ["hasse", "--samples", "1", "--x", "10000", "--out", "{tmp}/x"],
+    ["chowla", "--H", "10000000000000000000", *_RUN_OUT],
+    ["bh", "--H", "10000000000000000000", *_RUN_OUT],
+    ["chowla", "--H", str(2**63 - 1), *_RUN_OUT],
+    ["bh", "--H", str(2**63 - 1), *_RUN_OUT],
+    ["hasse", "--height", "0", *_RUN_OUT],
+    ["hasse", "--height", "-5", *_RUN_OUT],
+    # {tmp}/file is a regular file, so no directory can be made under it
+    ["bh", "--samples", "1", "--out", "{tmp}/file/x"],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
         "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
-        "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget"])
+        "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget",
+        "chowla-H-1e19", "bh-H-1e19", "chowla-H-2^63-1", "bh-H-2^63-1", "hasse-height-0",
+        "hasse-height-negative", "bh-out-under-file"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "file").write_text("")
     builds = []
     build_sieve = sieve_mod.build_sieve
     monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
@@ -670,6 +681,15 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     assert diag["error"] == "config"
     assert not (tmp_path / "x").exists()
     assert builds == []
+
+
+@pytest.mark.parametrize("kind", ["chowla", "bh"])
+def test_cli_H_at_int64_cap_records_overflow(tmp_path, capsys, kind):
+    # the largest H the cube can draw runs, and its forms overflow as data
+    out = tmp_path / "o"
+    assert cli.main([kind, "--samples", "1", "--H", str(2**63 - 2), "--out", str(out)]) == 0
+    (rec,) = _read_jsonl(out / "results.jsonl")
+    assert rec["record"] == "error" and "overflow" in rec["error"]
 
 
 def test_cli_kind_mismatch_in_config_file(tmp_path, capsys):
