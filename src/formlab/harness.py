@@ -762,11 +762,16 @@ def _utcnow() -> str:
 
 def _creatable_dir(out: Path) -> bool:
     """Whether `out` is, or mkdir can make it, a directory, checked without
-    creating it: its nearest existing path must be a writable directory."""
+    creating it: its nearest existing path must be a writable directory.
+    A path that cannot be examined (say, under an unsearchable directory)
+    cannot be made either."""
     near = out.absolute()
-    while not near.exists():
-        near = near.parent
-    return near.is_dir() and os.access(near, os.W_OK | os.X_OK)
+    try:
+        while not near.exists():
+            near = near.parent
+        return near.is_dir() and os.access(near, os.W_OK | os.X_OK)
+    except OSError:
+        return False
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:

@@ -14,10 +14,8 @@ test to bases 2, 7 and 61, which has no composite passer below
 4,759,123,141 (Jaeschke, Math. Comp. 61, 1993); residues stay below
 2**31, so every int64 product is exact.  Powers p^k (k >= 2) below 2**31
 come from a per-call table of the primes up to sqrt(max |n|).  Only
-magnitudes >= 2**31 take the scalar prime-power test (is_prime on exact
-integer roots, no factorization), as mangoldt does beyond the table.
-Every value is math.log(p), so the layer agrees bit for bit with the
-scalar mangoldt.
+magnitudes >= 2**31 take factor, as the scalar queries do.  Every value
+is math.log(p), so the layer agrees bit for bit with the scalar mangoldt.
 
 Also provides the exact pair counts for divisibility of
 v1^a v2^b (v1^c - v2^c) by prime powers, many moduli at once.
@@ -154,15 +152,10 @@ class SieveTable:
         """log p with exact tag (p, k) when |n| = p^k; zero otherwise."""
         if n == 0:
             return Mangoldt(0.0, None, 0)
-        n = abs(n)
-        if n > self.bound:
-            pk = _prime_power(n)
-        else:
-            fac = self.factor(n)
-            pk = next(iter(fac.items())) if len(fac) == 1 else None
-        if pk is None:
+        fac = self.factor(abs(n))
+        if len(fac) != 1:
             return Mangoldt(0.0, None, 0)
-        p, k = pk
+        ((p, k),) = fac.items()
         return Mangoldt(math.log(p), p, k)
 
     def tau_b(self, n: int, b: int) -> int:
@@ -247,29 +240,10 @@ class SieveTable:
                 found[is_power] = roots[pos[is_power]]
             base[lo:hi] = found
         for i in range(hi, len(n)):
-            pk = _prime_power(int(n[i]))
-            if pk is not None:
-                base[i] = pk[0]
+            fac = self.factor(int(n[i]))
+            if len(fac) == 1:
+                (base[i],) = fac
         return base
-
-
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k and k >= 1, else None; n >= 1.
-
-    Tries the exact integer k-th root r of n for each k <= log2 n (Newton
-    from above) and returns it when r^k = n and r is prime, so no
-    factorization is needed.
-    """
-    for k in range(1, n.bit_length()):
-        r = 1 << -(-n.bit_length() // k)  # at least the root
-        while True:
-            s = ((k - 1) * r + n // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
-        if r**k == n and arith.is_prime(r):
-            return r, k
-    return None
 
 
 def _is_prime_vec(n: np.ndarray) -> np.ndarray:
@@ -353,8 +327,11 @@ def _check_divisibility(q: int, a: int, b: int, c: int, x: int) -> None:
         raise ValueError("exponents must be positive")
     if x < 1:
         raise ValueError("x must be positive")
-    if q < 2 or _prime_power(q) is None:
+    if not _is_prime_power(q):
         raise ValueError("modulus must be a prime power")
     if x * x > _ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded (x^2 > 1e8)")
 
+
+def _is_prime_power(q: int) -> bool:
+    return q >= 2 and len(arith.factorize(q)) == 1

@@ -132,8 +132,8 @@ def oracle_real(field, coeffs):
     every negative one unless sympy finds no real root of K's polynomial."""
     t = sympy.symbols("t")
     imaginary = not sympy.real_roots(sympy.Poly(list(reversed(field.poly)), t))
-    odd = (len(coeffs) - 1) % 2 == 1
-    return 1 in oracle_g_signs(coeffs) or (any(coeffs) and (odd or not imaginary))
+    signs = oracle_g_signs(coeffs)
+    return bool(signs) and (1 in signs or not imaginary)
 
 
 # forms h(u, v) with irrational, rational or no real roots, planted as squares

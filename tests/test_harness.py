@@ -683,6 +683,27 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     assert builds == []
 
 
+def test_cli_unexaminable_out_is_config_error(tmp_path, capsys, monkeypatch):
+    # an unsearchable parent makes Path.exists raise PermissionError, which
+    # must surface as the config diagnostic, not a traceback
+    locked = tmp_path / "locked"
+    exists = Path.exists
+
+    def guarded(self, *args, **kwargs):
+        if locked in (self, *self.parents):
+            raise PermissionError(13, "Permission denied", str(self))
+        return exists(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", guarded)
+    builds = []
+    build_sieve = sieve_mod.build_sieve
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
+    code = cli.main(["bh", "--samples", "1", "--out", str(locked / "x")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert builds == []
+
+
 @pytest.mark.parametrize("kind", ["chowla", "bh"])
 def test_cli_H_at_int64_cap_records_overflow(tmp_path, capsys, kind):
     # the largest H the cube can draw runs, and its forms overflow as data

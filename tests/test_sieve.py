@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formlab import arith, sieve as sv
+from formlab import sieve as sv
 
 
 # -- independent oracles ----------------------------------------------------
@@ -222,9 +222,9 @@ def test_mangoldt_values_match_scalar(bound, values):
 
 
 def test_mangoldt_beyond_vector_limit_matches_sympy():
-    # magnitudes from 2^31 on take the integer-root prime-power test; sympy
-    # is the independent oracle.  2^62 = 4^31, 6^24 is a power of a
-    # composite, (2^31 - 1)^2 is a prime square near 2^62
+    # magnitudes from 2^31 on take factor; sympy is the independent oracle.
+    # 2^62 = 4^31, 6^24 is a power of a composite, (2^31 - 1)^2 is a prime
+    # square near 2^62
     table = _TABLES[1000]
     mags = [2**31 + 11, 3**20, 2**31 * 3, 4294967311, 46349**2, 999983 * 1000003,
             2**62, 6**24, (2**31 - 1) ** 2]
@@ -235,13 +235,6 @@ def test_mangoldt_beyond_vector_limit_matches_sympy():
         got = table.mangoldt_values(np.array([n, -n], dtype=np.int64))
         assert got.tolist() == [want, want], n
         assert table.mangoldt(n) == (want, *tag), n
-
-
-def test_prime_power_matches_factorization():
-    for n in list(range(1, 5000)) + [2**63, 3**39, 2**61 - 1, (2**31 - 1) * 2**31]:
-        fac = arith.factorize(n)
-        want = next(iter(fac.items())) if len(fac) == 1 else None
-        assert sv._prime_power(n) == want, n
 
 
 def test_liouville_values_vectorized(sieve_small):
