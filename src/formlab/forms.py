@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .rng import philox_each
+from .rng import mulhilo, philox_each, philox_words
 
 _GRID_BUDGET = 10**8
 
@@ -300,14 +300,38 @@ class CombinatorialCube:
 
     def sample(self, seed: int, index: int) -> BinaryForm:
         """Uniform draw; depends only on (seed, index), not draw order."""
-        return BinaryForm(self.sample_rows(seed, [index])[0].tolist())
+        return BinaryForm(self._exact_rows(seed, [index])[0].tolist())
 
-    def sample_rows(self, seed: int, indices) -> np.ndarray:
-        """The draws at `indices` as (n, d+1) int64 coefficient rows.
-
-        Each draw is one `integers` call for all d+1 coordinates, in
-        index order, on its own Philox stream (seed, "cube", index).
-        """
+    def _exact_rows(self, seed: int, indices) -> np.ndarray:
+        # the draw's definition: one `integers` call for all d+1 coordinates
+        # on the Philox stream (seed, "cube", index)
         lo, hi, n = -self.side, self.side + 1, self.degree + 1
         draws = [rng.integers(lo, hi, size=n) for rng in philox_each(seed, "cube", indices=indices)]
         return np.reshape(np.array(draws, dtype=np.int64), (len(draws), n))
+
+    def sample_rows(self, seed: int, indices) -> np.ndarray:
+        """The draws at `indices` as (n, d+1) int64 rows, equal to `sample`'s.
+
+        The stream words of all indices come from one `philox_words` pass
+        and are mapped as `Generator.integers` maps them: Lemire's
+        multiply-shift on 32-bit halves (low half first) when the range
+        2H fits in 32 bits, on whole words otherwise.  A row with a draw
+        that Lemire rejects would read further words, so it is redrawn
+        through `_exact_rows`.
+        """
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        n, span = self.degree + 1, 2 * self.side + 1
+        bits = 32 if span <= 2**32 else 64
+        words = philox_words(seed, "cube", indices=idx, words=-(-n * bits // 64))
+        if bits == 32:
+            halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1)
+            m = halves.reshape(len(idx), 2 * words.shape[1])[:, :n] * span
+            draw, leftover = m >> 32, m & 0xFFFFFFFF
+        else:
+            draw, leftover = mulhilo(words, np.uint64(span))
+        rows = (draw + (-self.side % 2**64)).view(np.int64)  # lo + draw, wrapped as numpy adds it
+        # numpy rejects a draw whose leftover is below (2^bits - span) mod span
+        redraw = np.flatnonzero((leftover < (2**bits - span) % span).any(axis=1))
+        if len(redraw):
+            rows[redraw] = self._exact_rows(seed, idx[redraw])
+        return rows

@@ -375,6 +375,8 @@ def _validate_local(cfg: ExperimentConfig) -> None:
 def _validate_hasse(cfg: ExperimentConfig) -> None:
     if cfg.height < 1:
         raise ConfigError("height must be at least 1")
+    if cfg.primes < 0:
+        raise ConfigError("primes must be at least 0")
     _validate_local(cfg)
 
 
@@ -641,6 +643,8 @@ PROTOCOLS: dict[str, Protocol] = {
         build_state=_local_state,
         records=per_index(_hasse_record),
         summary=_hasse_summary,
+        flag_help={"primes": "test the primes up to this bound as well as the bad "
+                             "primes, which are always tested; 0 tests only the bad primes"},
     ),
     "density": Protocol(
         help="archimedean density bins and count-model records",
@@ -748,8 +752,8 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
-def _canon(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False)
+# one encoder for every record: json.dumps builds this same encoder per call
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _sha256_file(path: Path) -> str:

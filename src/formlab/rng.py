@@ -51,6 +51,14 @@ def philox(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)))
 
 
+def _keys(seed: int, *stream, indices) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of philox(seed, *stream, i), i in indices, in one pass."""
+    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)  # int labels are hashed mod 2^64
+    # (state, out) after the leading label parts, one row per key half
+    pre = np.array([_prefix(seed, half, *stream) for half in ("key0", "key1")], dtype=np.uint64)
+    return (pre[:, 1:] ^ _splitmix64(pre[:, :1] ^ idx)[1]).T
+
+
 def philox_each(seed: int, *stream, indices) -> Iterator[np.random.Generator]:
     """philox(seed, *stream, i) for each i in indices, in order.
 
@@ -58,14 +66,46 @@ def philox_each(seed: int, *stream, indices) -> Iterator[np.random.Generator]:
     one generator is re-keyed before each yield, so a yielded generator
     is valid only until the next one is drawn.
     """
-    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)  # int labels are hashed mod 2^64
-    # (state, out) after the leading label parts, one row per key half
-    pre = np.array([_prefix(seed, half, *stream) for half in ("key0", "key1")], dtype=np.uint64)
-    keys = (pre[:, 1:] ^ _splitmix64(pre[:, :1] ^ idx)[1]).T
     # one construction per call: Philox(key=...) gathers unused OS entropy each time
     gen = np.random.Generator(np.random.Philox(key=0))
     fresh = gen.bit_generator.state  # counter 0 and an empty output buffer, as on construction
-    for key in keys:
+    for key in _keys(seed, *stream, indices=indices):
         fresh["state"]["key"] = key
         gen.bit_generator.state = fresh
         yield gen
+
+
+# numpy scalars, so that ops mixing them with a uint64 scalar stay in uint64
+_LO32, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+
+
+def mulhilo(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products a*b of uint64 arrays."""
+    a0, a1, b0, b1 = a & _LO32, a >> _SHIFT, b & _LO32, b >> _SHIFT
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _SHIFT) + (cross0 & _LO32) + (cross1 & _LO32)
+    return a1 * b1 + (cross0 >> _SHIFT) + (cross1 >> _SHIFT) + (mid >> _SHIFT), a * b
+
+
+def philox_words(seed: int, *stream, indices, words: int) -> np.ndarray:
+    """(n, words) uint64: row i is philox(seed, *stream, i).bit_generator.random_raw(words).
+
+    Philox4x64-10 for every index's key at once.  Block b of a stream is
+    the cipher of the counter (b + 1, 0, 0, 0): numpy bumps the counter
+    before computing its first block.
+    """
+    keys = _keys(seed, *stream, indices=indices)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    blocks = -(-words // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _W0, k1 + _W1
+        hi0, lo0 = mulhilo(_M0, c0)
+        hi1, lo1 = mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :words]

@@ -332,15 +332,37 @@ def _fresh_draw(cube, seed, i):
     CombinatorialCube(4, 2**40),
     CombinatorialCube(1, 3),
     CombinatorialCube(2, 2**62),
+    CombinatorialCube(2, 2**31 - 1),
+    CombinatorialCube(2, 2**31),
+    CombinatorialCube(15, 1000),
 ])
 def test_cube_rows_match_fresh_generators(cube):
-    idx = [0, 1, 2, 3, 57, 1000, 2**40]
+    idx = [0, 1, 2, 3, 57, 1000, 2**40, -1, 2**63 - 1]
     for seed in (42, 2**64 - 1):
         rows = cube.sample_rows(seed, idx)
         assert rows.dtype == np.int64 and rows.shape == (len(idx), cube.degree + 1)
         assert rows.tolist() == [_fresh_draw(cube, seed, i) for i in idx]
         assert [cube.sample(seed, i).coeffs for i in idx] == [tuple(r) for r in rows.tolist()]
     assert cube.sample_rows(42, []).shape == (0, cube.degree + 1)
+
+
+def test_cube_rows_redraw_rejected_draws(monkeypatch):
+    # at 2H + 1 = 24,691,357 numpy's Lemire rule rejects about 0.5% of draws;
+    # those rows read further stream words and are redrawn one by one
+    cube = CombinatorialCube(2, 12_345_678)
+    redrawn = []
+    exact = CombinatorialCube._exact_rows
+
+    def spy(self, seed, indices):
+        redrawn.extend(indices.tolist())
+        return exact(self, seed, indices)
+
+    monkeypatch.setattr(CombinatorialCube, "_exact_rows", spy)
+    rows = cube.sample_rows(42, range(2000))
+    assert redrawn
+    monkeypatch.undo()
+    for i in redrawn + [0, 1999]:
+        assert rows[i].tolist() == _fresh_draw(cube, 42, i)
 
 
 def test_cube_pinned_draw():

@@ -662,13 +662,14 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     ["bh", "--H", str(2**63 - 1), *_RUN_OUT],
     ["hasse", "--height", "0", *_RUN_OUT],
     ["hasse", "--height", "-5", *_RUN_OUT],
+    ["hasse", "--primes", "-5", *_RUN_OUT],
     # {tmp}/file is a regular file, so no directory can be made under it
     ["bh", "--samples", "1", "--out", "{tmp}/file/x"],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
         "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
         "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget",
         "chowla-H-1e19", "bh-H-1e19", "chowla-H-2^63-1", "bh-H-2^63-1", "hasse-height-0",
-        "hasse-height-negative", "bh-out-under-file"])
+        "hasse-height-negative", "hasse-primes-negative", "bh-out-under-file"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "file").write_text("")
     builds = []

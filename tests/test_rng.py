@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab import rng
-from formlab.rng import mix, philox, philox_each
+from formlab.rng import mix, mulhilo, philox, philox_each, philox_words
 
 _MASK = (1 << 64) - 1
 
@@ -96,3 +96,21 @@ def test_philox_each_matches_philox():
             assert got.tolist() == philox(seed, "cube", i).integers(-1000, 1001, size=6).tolist()
     labelled = philox_each(3, "a", 7, indices=[2])
     assert next(labelled).random() == philox(3, "a", 7, 2).random()
+
+
+def test_philox_words_match_random_raw():
+    idx = [0, -1, 2**63 - 1]
+    for seed in (0, 42, 2**64 - 1):
+        for words in range(10):
+            got = philox_words(seed, "cube", indices=idx, words=words)
+            assert got.dtype == np.uint64 and got.shape == (len(idx), words)
+            for i, row in zip(idx, got.tolist()):
+                assert row == philox(seed, "cube", i).bit_generator.random_raw(words).tolist()
+    assert philox_words(3, "a", 7, indices=[], words=5).shape == (0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, _MASK), b=st.integers(0, _MASK))
+def test_mulhilo_is_the_128_bit_product(a, b):
+    hi, lo = mulhilo(np.array([a], dtype=np.uint64), np.uint64(b))
+    assert (int(hi[0]) << 64) + int(lo[0]) == a * b

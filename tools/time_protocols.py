@@ -22,8 +22,9 @@ import subprocess
 import sys
 import tempfile
 
-# the C11 and C13 settings of tests/test_acceptance.py::_PROTOCOLS
+# the C10, C11 and C13 settings of tests/test_acceptance.py::_PROTOCOLS
 PROTOCOLS = {
+    "c10": ("chowla", {}),
     "c11": ("bh", {}),
     "c13": ("hasse", {}),
 }
