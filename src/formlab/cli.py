@@ -74,8 +74,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sieve":
-            if args.bound < 2:
-                raise ConfigError("sieve bound must be at least 2")
+            if not 2 <= args.bound <= sieve_mod.MAX_BOUND:
+                raise ConfigError(f"sieve bound must be between 2 and {sieve_mod.MAX_BOUND}")
             # open the output first, so an unwritable path costs no build
             try:
                 fh = open(args.out, "wb")

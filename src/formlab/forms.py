@@ -45,17 +45,6 @@ class BinaryForm:
             acc = acc * m + c * npow
         return acc
 
-    def partials(self, m: int, n: int) -> tuple[int, int]:
-        """Exact gradient (dg/du, dg/dv) at (m, n)."""
-        d = self.degree
-        gu = gv = 0
-        for i, c in enumerate(self.coeffs):
-            if d - i >= 1:
-                gu += c * (d - i) * m ** (d - i - 1) * n**i
-            if i >= 1:
-                gv += c * i * m ** (d - i) * n ** (i - 1)
-        return gu, gv
-
     @property
     def content(self) -> int:
         out = 0

@@ -50,6 +50,10 @@ COMMON_FIELDS = ("seed", "out", "workers")
 _SIEVE_CAP = 2 * 10**6
 # draws a rejection scan examines before the samples still unmet record an error
 _SCAN_LIMIT = 10**5
+# draws a rejection scan takes from one sample_rows call
+_SCAN_CHUNK = 1000
+# the most pool workers a run may ask for; a pool forks all of them at once
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,8 @@ class ExperimentConfig:
             raise ConfigError("samples must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
         if self.d < 1 or self.H < 1:
             raise ConfigError("d and H must be positive")
         if self.H > 2**63 - 2:
@@ -180,24 +184,11 @@ def _error_record(cfg: ExperimentConfig, i: int, error: str) -> dict:
     return {"record": "error", "index": i, "error": error, "statistic": None, "H": cfg.H}
 
 
-def per_index(record: Callable[[ExperimentConfig, dict, int], dict]):
-    """The block hook that calls `record(cfg, state, i)` for each index.
-
-    A ResourceLimitError becomes that index's error record; any other
-    failure is raised as a RecordError naming the kind and the index.
-    """
-    def records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
-        out = []
-        for i in block:
-            try:
-                out.append(record(cfg, state, i))
-            except ResourceLimitError as exc:
-                out.append(_error_record(cfg, i, str(exc)))
-            except Exception as exc:
-                raise RecordError(f"{cfg.kind} record {i}: {type(exc).__name__}: {exc}") from exc
-        return out
-
-    return records
+def _scan(cube: CombinatorialCube, seed: int):
+    """(index, coefficients) of the draws below _SCAN_LIMIT, in sample_rows chunks."""
+    for lo in range(0, _SCAN_LIMIT, _SCAN_CHUNK):
+        idx = range(lo, min(lo + _SCAN_CHUNK, _SCAN_LIMIT))
+        yield from zip(idx, cube.sample_rows(seed, idx).tolist())
 
 
 def _accepted_draws(cfg: ExperimentConfig, cube: CombinatorialCube, n: int,
@@ -206,11 +197,11 @@ def _accepted_draws(cfg: ExperimentConfig, cube: CombinatorialCube, n: int,
     """The first n (draw index, form) pairs whose forms pass `predicate`, and the
     error of the samples past them: the scan stops at _SCAN_LIMIT draws or a budget error."""
     found: list[tuple[int, BinaryForm]] = []
-    for idx in range(_SCAN_LIMIT):
+    for idx, coeffs in _scan(cube, cfg.seed) if n else ():  # no samples draw no chunk
         if len(found) == n:
             break
         try:
-            form = cube.sample(cfg.seed, idx)
+            form = BinaryForm(coeffs)
             if predicate(form):
                 found.append((idx, form))
         except ResourceLimitError as exc:
@@ -265,14 +256,11 @@ def _chowla_records(cfg: ExperimentConfig, state: dict, block: range) -> list[di
     rows = state["cube"].sample_rows(cfg.seed, block)
     step = state["part_rows"]
     stats, overflow = [], []
-    try:
-        for r0 in range(0, len(rows), step):
-            part = chowla_bh.chowla_block(rows[r0 : r0 + step], cfg.H, cfg.c,
-                                          state["sieve"], cfg.grid)
-            stats.append(part.statistic)
-            overflow.append(part.overflow)
-    except ResourceLimitError as exc:
-        return [_error_record(cfg, i, str(exc)) for i in block]
+    for r0 in range(0, len(rows), step):
+        part = chowla_bh.chowla_block(rows[r0 : r0 + step], cfg.H, cfg.c,
+                                      state["sieve"], cfg.grid)
+        stats.append(part.statistic)
+        overflow.append(part.overflow)
     lo, hi = float(part.grid[0]), float(part.grid[-1])
     out = []
     for i, coeffs, stat, over in zip(
@@ -405,8 +393,12 @@ def _counts(cfg: ExperimentConfig, state: dict, inst: chatelet.ChateletInstance)
     return nc, float(est), float(err)
 
 
-def _hasse_record(cfg: ExperimentConfig, state: dict, i: int) -> dict:
-    form = state["cube"].sample(cfg.seed, i)
+def _hasse_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
+    rows = state["cube"].sample_rows(cfg.seed, block).tolist()
+    return [_hasse_record(cfg, state, i, BinaryForm(row)) for i, row in zip(block, rows)]
+
+
+def _hasse_record(cfg: ExperimentConfig, state: dict, i: int, form: BinaryForm) -> dict:
     klass, witness, verdicts, obstruction = chatelet.classify_coeffs(
         state["field"], form.coeffs, cfg.H, cfg.height, cfg.primes
     )
@@ -591,8 +583,10 @@ class Protocol:
     A run writes the `prefix` rows, then the records of the indices
     i < `count(cfg)`: `records(cfg, state, block)` returns one record per
     index of a contiguous `range` block, in order, each a pure function of
-    (cfg, i), so any split into blocks gives the same records.  A kind
-    with a per-index function gets its hook from `per_index`.  `state`
+    (cfg, i), so any split into blocks gives the same records.  A hook
+    may raise: the runner then recomputes its block one index at a time,
+    so a ResourceLimitError becomes that index's error record and any
+    other failure a RecordError naming the kind and the index.  `state`
     is `build_state(cfg)`, built once per run.
     `summary` maps the records to the kind's summary.csv rows.  After a
     CLI run, `report(cfg, manifest)` prints to stdout and returns the exit
@@ -604,7 +598,7 @@ class Protocol:
     defaults: dict
     validate: Callable[[ExperimentConfig], None]
     build_state: Callable[[ExperimentConfig], dict]
-    records: Optional[Callable[[ExperimentConfig, dict, range], list[dict]]]
+    records: Callable[[ExperimentConfig, dict, range], list[dict]]
     summary: Callable[[list[dict]], list[tuple]]
     prefix: Callable[[ExperimentConfig, dict], list[dict]] = lambda cfg, state: []
     count: Callable[[ExperimentConfig], int] = lambda cfg: cfg.samples
@@ -628,7 +622,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"d": 2, "H": 500, "c": 0.05, "x": 300, "r": 1, "samples": 50},
         validate=_validate_bh,
         build_state=_bh_state,
-        records=per_index(_bh_record),
+        records=lambda cfg, state, block: [_bh_record(cfg, state, k) for k in block],
         summary=_bh_summary,
         count=lambda cfg: 1 if cfg.anchor else cfg.samples,
         flag_help={"anchor": "single identity-form record (densities exactly known)"},
@@ -641,7 +635,7 @@ PROTOCOLS: dict[str, Protocol] = {
                   "x": 20, "mc": 20000},
         validate=_validate_hasse,
         build_state=_local_state,
-        records=per_index(_hasse_record),
+        records=_hasse_records,
         summary=_hasse_summary,
         flag_help={"primes": "test the primes up to this bound as well as the bad "
                              "primes, which are always tested; 0 tests only the bad primes"},
@@ -652,7 +646,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"d": 2, "H": 50, "x": 40, "samples": 0, "mc": 100000},
         validate=_validate_density,
         build_state=_density_state,
-        records=per_index(_density_record),
+        records=lambda cfg, state, block: [_density_record(cfg, state, k) for k in block],
         summary=_density_summary,
         prefix=_density_prefix,
     ),
@@ -662,7 +656,7 @@ PROTOCOLS: dict[str, Protocol] = {
         defaults={"samples": 0},
         validate=_validate_verify,
         build_state=lambda cfg: {},
-        records=None,
+        records=lambda cfg, state, block: [],
         summary=_verify_summary,
         prefix=_verify_prefix,
         count=lambda cfg: 0,
@@ -692,13 +686,23 @@ def _state_for(cfg: ExperimentConfig) -> dict:
 
 
 def _block_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
+    """The kind's records of `block`, recomputed one index at a time (each is pure
+    in (cfg, i)) only when the hook raises on the whole block: a ResourceLimitError
+    at i becomes i's error record, any other failure a RecordError naming i."""
+    hook = PROTOCOLS[cfg.kind].records
     try:
-        return PROTOCOLS[cfg.kind].records(cfg, state, block)
-    except RecordError:
-        raise
-    except Exception as exc:
-        raise RecordError(f"{cfg.kind} records {block.start}..{block.stop - 1}: "
-                          f"{type(exc).__name__}: {exc}") from exc
+        return hook(cfg, state, block)
+    except Exception:
+        pass
+    out = []
+    for i in block:
+        try:
+            out += hook(cfg, state, range(i, i + 1))
+        except ResourceLimitError as exc:
+            out.append(_error_record(cfg, i, str(exc)))
+        except Exception as exc:
+            raise RecordError(f"{cfg.kind} record {i}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 def _held_block(block: range) -> list[dict]:
@@ -712,8 +716,8 @@ def compute_records(cfg: ExperimentConfig) -> list[dict]:
 
     The indices are cut into contiguous blocks of n // (4 * workers), at
     least one index each, so each worker gets about four or more; with
-    one worker they are computed in this process, otherwise in a pool that
-    forks after the run's state is built.
+    one worker they are computed in this process, otherwise in a pool of
+    at most one worker per block that forks after the run's state is built.
     """
     protocol = PROTOCOLS[cfg.kind]
     state = _state_for(cfg)
@@ -726,7 +730,7 @@ def compute_records(cfg: ExperimentConfig) -> list[dict]:
         parts = [_block_records(cfg, state, b) for b in blocks]
     else:
         ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=w, mp_context=ctx) as ex:
+        with ProcessPoolExecutor(max_workers=min(w, len(blocks)), mp_context=ctx) as ex:
             parts = list(ex.map(_held_block, blocks))
     return prefix + [rec for part in parts for rec in part]
 

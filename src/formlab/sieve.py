@@ -34,6 +34,9 @@ from . import arith
 
 _MAGIC = b"FRMLSPF1"
 
+# the largest bound whose entries, n itself for a prime n, fit in uint32
+MAX_BOUND = 2**32 - 1
+
 _ENUM_BUDGET = 10**8
 
 # mangoldt_values decides magnitudes below this with int64 arithmetic:
@@ -64,8 +67,8 @@ class SieveTable:
     """
 
     def __init__(self, bound: int, _spf: np.ndarray | None = None):
-        if bound < 2:
-            raise ValueError("sieve bound must be at least 2")
+        if not 2 <= bound <= MAX_BOUND:
+            raise ValueError(f"sieve bound must be between 2 and {MAX_BOUND}")
         self.bound = int(bound)
         self._spf = self._build(self.bound) if _spf is None else _spf
         self._primes: list[int] | None = None

@@ -432,6 +432,20 @@ def test_c13_hasse_smoke(runs):
              f"{violations} consistency violations")
 
 
+# results.jsonl digests of the C09-C13 runs; C14 holds them at 8 workers too
+_RUN_DIGESTS = {
+    "c09": "44cdd60a320741cc2c8274b4269b122f73d753faeffc4cb9051948cd0020cf33",
+    "c10": "fce9bc3443dafd765fb6e8d562ff21f8cb1c91fe1c4d3f9acb16556212bb7548",
+    "c11": "85b19bf5b4a9b45872d8caacb9044a0482cdfda247694cfec50503ef67e7569a",
+    "c12": "823d319c19b8ad7156653f028274a18beca39b4a3c0fcc7411313a6c2bc54873",
+    "c13": "064aba3a54a0177cb18ac86272645247380ea6cef0569b6c4f7a57e328f0341c",
+}
+
+
+def test_protocol_records_pinned(runs):
+    assert {name: pair.sha_w1 for name, pair in runs.items()} == _RUN_DIGESTS
+
+
 def test_c14_worker_determinism(runs):
     mismatched = [name for name, pair in runs.items() if pair.sha_w1 != pair.sha_w8]
     _verdict(14, not mismatched,

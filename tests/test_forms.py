@@ -53,20 +53,6 @@ def test_evaluate_matches_oracle_and_homogeneity():
         assert g(t * m, t * n) == t**g.degree * g(m, n)
 
 
-def test_partials():
-    rng = random.Random(13)
-    for _ in range(200):
-        g = _random_form(rng)
-        m, n = rng.randint(-7, 7), rng.randint(-7, 7)
-        gu, gv = g.partials(m, n)
-        u, v = sympy.symbols("u v")
-        expr = sum(c * u ** (g.degree - i) * v**i for i, c in enumerate(g.coeffs))
-        assert gu == sympy.diff(expr, u).subs({u: m, v: n})
-        assert gv == sympy.diff(expr, v).subs({u: m, v: n})
-        # Euler identity for homogeneous g
-        assert m * gu + n * gv == g.degree * g(m, n)
-
-
 def test_min_coefficients():
     with pytest.raises(ValueError):
         BinaryForm([3])

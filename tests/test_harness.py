@@ -1,6 +1,7 @@
 """Configuration, the runner, persistence, summaries, CLI, and the battery."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -382,30 +383,107 @@ def test_block_failure_names_kind_and_range(workers):
     # the statistic refuses H < 3; built directly, the config skips validation
     cfg = harness.ExperimentConfig(kind="chowla", H=2, samples=5, workers=workers)
     with pytest.raises(RecordError,
-                       match=r"chowla records 0\.\.\d+: ValueError: scale must be >= 3") as info:
+                       match=r"^chowla record 0: ValueError: scale must be >= 3$") as info:
         harness.compute_records(cfg)
     if workers == 1:
         assert isinstance(info.value.__cause__, ValueError)
 
 
-def test_per_index_names_the_index_and_keeps_budget_errors():
-    def record(cfg, state, i):
-        if i == 1:
-            raise ResourceLimitError("over budget")
-        if i == 3:
-            raise ZeroDivisionError("boom")
-        return {"record": "sample", "index": i}
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_names_the_index_and_keeps_budget_errors(monkeypatch, workers):
+    # a hook that fails on a block is recomputed one index at a time
+    def hook(cfg, state, block):
+        out = []
+        for i in block:
+            if i == 1:
+                raise ResourceLimitError("over budget")
+            if i == 3:
+                raise ZeroDivisionError("boom")
+            out.append({"record": "sample", "index": i})
+        return out
 
-    hook = harness.per_index(record)
-    cfg = harness.make_config("bh", {})
-    assert hook(cfg, {}, range(3)) == [
+    bh = harness.PROTOCOLS["bh"]
+    monkeypatch.setitem(harness.PROTOCOLS, "bh", dataclasses.replace(
+        bh, build_state=lambda cfg: {}, records=hook))
+    monkeypatch.setattr(harness, "_STATE", {})
+    cfg = harness.make_config("bh", {"samples": 3, "workers": workers})
+    assert harness.compute_records(cfg) == [
         {"record": "sample", "index": 0},
         {"record": "error", "index": 1, "error": "over budget", "statistic": None, "H": cfg.H},
         {"record": "sample", "index": 2},
     ]
-    with pytest.raises(RecordError, match="bh record 3: ZeroDivisionError: boom") as info:
-        hook(cfg, {}, range(2, 5))
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    assert harness._block_records(cfg, {}, range(3)) == harness.compute_records(cfg)
+    cfg = harness.make_config("bh", {"samples": 5, "workers": workers})
+    with pytest.raises(RecordError, match=r"^bh record 3: ZeroDivisionError: boom$") as info:
+        harness.compute_records(cfg)
+    if workers == 1:
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+    with pytest.raises(RecordError, match=r"^bh record 3: ZeroDivisionError: boom$"):
+        harness._block_records(cfg, {}, range(5))
+
+
+class _PoolStub:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+
+@pytest.mark.parametrize("samples,workers", [(2, 5), (3, 64), (40, 3)])
+def test_pool_has_at_most_one_worker_per_block(monkeypatch, samples, workers):
+    monkeypatch.delenv("FORMLAB_THREADS", raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolStub)
+    monkeypatch.setattr(_PoolStub, "sizes", [])
+    cfg = harness.make_config("chowla", {"H": 90, "samples": samples, "workers": workers})
+    recs = harness.compute_records(cfg)
+    blocks = -(-samples // max(1, samples // (4 * workers)))
+    assert _PoolStub.sizes == [min(workers, blocks)]
+    assert recs == harness.compute_records(dataclasses.replace(cfg, workers=1))
+
+
+def test_workers_ceiling():
+    assert harness.make_config("chowla", {"workers": harness.MAX_WORKERS}).workers == 64
+    with pytest.raises(ConfigError, match="workers"):
+        harness.make_config("chowla", {"workers": harness.MAX_WORKERS + 1})
+
+
+# results.jsonl digests of runs with error records: the chowla window is over
+# its budget at every index, and value-budget errors sit beside hasse samples
+# and density instances
+_ERROR_RUNS = {
+    "chowla": ({"d": 1, "H": 10**18, "c": 0.25, "samples": 3},
+               "27c402f61361e018021d07b918616a5509fdc1238702e2a601fbd99132f9b87b"),
+    "hasse": ({"H": 1, "x": 5000, "samples": 4},
+              "6baa5a11adec56ba3179afd81f77014f2555865956beaf47a63476dcf374933e"),
+    "density": ({"H": 1, "x": 5000, "samples": 3},
+                "cd335fc610ad0540e33ebd0269423a98e0f3aa369528d2025c5acac31629d6a8"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_ERROR_RUNS))
+def test_error_record_runs_pinned(tmp_path, kind, workers):
+    settings, digest = _ERROR_RUNS[kind]
+    cfg = harness.make_config(kind, {**settings, "workers": workers, "out": str(tmp_path)})
+    man = harness.run(cfg)
+    assert man.files["results.jsonl"] == digest
+    recs = _read_jsonl(tmp_path / "results.jsonl")
+    assert "error" in {r["record"] for r in recs}
+    # one block of every index gives the same records as the run's blocks
+    state = harness._state_for(cfg)
+    whole = harness._block_records(cfg, state, range(cfg.samples))
+    assert recs[len(recs) - cfg.samples:] == whole
 
 
 def test_manifest_phase_timings(tmp_path):
@@ -665,11 +743,13 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     ["hasse", "--primes", "-5", *_RUN_OUT],
     # {tmp}/file is a regular file, so no directory can be made under it
     ["bh", "--samples", "1", "--out", "{tmp}/file/x"],
+    ["chowla", "--workers", "65", *_RUN_OUT],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
         "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
         "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget",
         "chowla-H-1e19", "bh-H-1e19", "chowla-H-2^63-1", "bh-H-2^63-1", "hasse-height-0",
-        "hasse-height-negative", "hasse-primes-negative", "bh-out-under-file"])
+        "hasse-height-negative", "hasse-primes-negative", "bh-out-under-file",
+        "workers-over-ceiling"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "file").write_text("")
     builds = []
@@ -741,6 +821,18 @@ def test_cli_sieve_round_trip(tmp_path):
     table = SieveTable.load(target)
     assert table.bound == 500
     assert table.liouville(12) == -1
+
+
+def test_cli_sieve_bound_beyond_uint32(tmp_path, capsys, monkeypatch):
+    # a uint32 table cannot hold 2^32; the CLI refuses before opening --out
+    def refuse(bound):
+        raise AssertionError("no table may be built")
+
+    monkeypatch.setattr(sieve_mod.SieveTable, "_build", staticmethod(refuse))
+    out = tmp_path / "x"
+    assert cli.main(["sieve", "--bound", str(2**32), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
 
 
 def test_cli_summarize_json(tmp_path, capsys):

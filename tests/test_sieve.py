@@ -69,6 +69,18 @@ def test_bound_validation():
         sv.SieveTable(1)
 
 
+def test_bound_beyond_uint32_refused_before_allocation(monkeypatch):
+    # uint32 entries would wrap at 2^32; the stub keeps any table from being built
+    def refuse(bound):
+        raise AssertionError(f"build of bound {bound}")
+
+    monkeypatch.setattr(sv.SieveTable, "_build", staticmethod(refuse))
+    with pytest.raises(ValueError, match="sieve bound"):
+        sv.SieveTable(2**32)
+    with pytest.raises(AssertionError, match=f"build of bound {sv.MAX_BOUND}"):
+        sv.SieveTable(2**32 - 1)
+
+
 def test_spf_invariant(sieve_small):
     spf = sieve_small._spf
     for n in (2, 3, 4, 6, 9, 9973, 10000):
