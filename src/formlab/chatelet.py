@@ -62,10 +62,6 @@ class ChateletInstance:
         c = self.form.coeffs
         return max(abs(v) for v in c) <= H and c[0] * c[-1] != 0
 
-    @property
-    def content(self) -> int:
-        return self.form.content
-
     def bad_primes(self) -> tuple[int, ...]:
         """Primes dividing disc(K-poly), disc(g), or the edge coefficients."""
         out: set[int] = set()
@@ -324,8 +320,9 @@ def sigma_w0(instance: ChateletInstance, m_dk: int, k_desk: int) -> Fraction:
     """Product of sigma_pp(p, k_desk) over the W0 primes: the primes up to
     m_dk and every prime dividing the content."""
     ps = set(arith.primes(m_dk))
-    if instance.content > 0:
-        ps.update(arith.factorize(instance.content))
+    content = instance.form.content
+    if content > 0:
+        ps.update(arith.factorize(content))
     sigma = Fraction(1)
     for p in sorted(ps):
         sigma *= sigma_pp(instance, p, k_desk)

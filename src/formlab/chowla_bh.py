@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .forms import _EVAL_BLOCK, BinaryForm, form_grid, orbit_sum
 from .sieve import SieveTable
 
 _GRID_BUDGET = 10**7
+# the most points an integer grid size may ask of the chowla window
+_GRID_POINTS = 2**18
 
 
 def exponent_cap(degree: int) -> float:
@@ -40,21 +42,37 @@ def series_cutoff(x: float) -> int:
 # ---------------------------------------------------------------------------
 # Liouville sup statistic.
 
+class ChowlaWindow(NamedTuple):
+    """The scale window [H^c, 2H^c] of one (H, c, grid size)."""
+
+    grid: tuple[float, ...]  # window points x, ascending, from H^c
+    floors: tuple[int, ...]  # floor(x), capped at top
+    top: int  # floor(2H^c), the side of the square the sums run over
+
+
 @lru_cache(maxsize=64)
-def _chowla_grid(lo: float, hi: float, grid_size) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Window points in [lo, hi] and their floors, capped at floor(hi); shared by a run."""
+def chowla_window(scale: int, exponent: float, grid_size) -> ChowlaWindow:
+    """The window's points, their floors and its top; shared by a run.
+
+    Raises ResourceLimitError when the top's square exceeds _GRID_BUDGET
+    or an integer grid size exceeds _GRID_POINTS.
+    """
+    lo = float(scale) ** exponent
+    hi = 2.0 * lo
+    top = math.floor(hi)
+    if top * top > _GRID_BUDGET:
+        raise ResourceLimitError("scale window too large for the double-sum budget")
     if grid_size == "all":
         # The double sum is constant between consecutive integers and the
         # normalizer 1/x^2 decreases, so the real sup over [lo, hi] is
         # attained at lo or just after an integer: checking lo and every
         # integer in (lo, hi] gives the exact supremum.
-        xs = [lo] + [float(k) for k in range(math.floor(lo) + 1, math.floor(hi) + 1)]
-    elif grid_size < 1:
-        raise ValueError("grid_size must be >= 1 or 'all'")
+        xs = [lo] + [float(k) for k in range(math.floor(lo) + 1, top + 1)]
+    elif grid_size > _GRID_POINTS:
+        raise ResourceLimitError(f"grid of {grid_size} points exceeds the cap of {_GRID_POINTS}")
     else:
         xs = sorted(set([lo, hi] + np.geomspace(lo, hi, int(grid_size)).tolist()))
-    top = math.floor(hi)
-    return tuple(xs), tuple(min(math.floor(x), top) for x in xs)
+    return ChowlaWindow(tuple(xs), tuple(min(math.floor(x), top) for x in xs), top)
 
 
 @dataclass(frozen=True)
@@ -62,20 +80,8 @@ class ChowlaBlock:
     """The window statistic of many forms of one degree at one (H, c)."""
 
     grid: tuple[float, ...]  # window points x, ascending
-    sums: np.ndarray  # (F, len(grid)) int64: S(floor x), the sum over [1, floor x]^2
+    statistic: np.ndarray  # (F,) float64: max over the grid of |S(floor x)| / x^2
     overflow: np.ndarray  # (F,) bool: rows refused because their values overflow int64
-
-    @property
-    def trace(self) -> np.ndarray:
-        """(F, len(grid)) float64: |S(floor x)| / x^2 at every grid point."""
-        x = np.array(self.grid)
-        # float64 division, bit for bit the scalar abs(S) / (x * x)
-        return np.abs(self.sums) / (x * x)
-
-    @property
-    def statistic(self) -> np.ndarray:
-        """(F,) row maxima of the trace."""
-        return self.trace.max(axis=1)
 
 
 OVERFLOW = "form values overflow the int64 layer sums"
@@ -94,13 +100,14 @@ def _overflows(rows: np.ndarray, scale: int) -> np.ndarray:
 def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size=16) -> ChowlaBlock:
     """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2, per row.
 
-    The sum runs over 1 <= u, v <= floor(x), for every (c0, ..., cd) row
+    The sum S(n) runs over 1 <= u, v <= n, for every (c0, ..., cd) row
     of an (F, d+1) int64 array.  g and lambda are evaluated on the whole
-    [1, floor(2H^c)]^2 square of many forms at once, at most about
-    _EVAL_BLOCK values at a time; the sum over [1, n]^2 is the n-th
-    diagonal entry of each form's 2-D prefix sum, in exact int64, kept
+    [1, top]^2 square of the window (see `chowla_window`) for a chunk of
+    rows at a time, so that neither the values nor the chunk's (rows,
+    grid points) sums exceed about _EVAL_BLOCK entries; S(n) is the n-th
+    diagonal entry of each form's 2-D prefix sum, in exact int64, read
     only at the grid points' floors.  Rows whose values could overflow
-    int64 are flagged in `overflow` and left at zero.
+    int64 are flagged in `overflow` and left at statistic zero.
     """
     rows = np.asarray(rows, dtype=np.int64)
     d = rows.shape[1] - 1
@@ -108,23 +115,23 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
         raise ValueError(f"exponent must lie in (0, {exponent_cap(d):.4f}) for degree {d}")
     if scale < 3:
         raise ValueError("scale must be >= 3")
-    lo = float(scale) ** exponent
-    hi = 2.0 * lo
-    top = math.floor(hi)
-    if top * top > _GRID_BUDGET:
-        raise ResourceLimitError("scale window too large for the double-sum budget")
-    xs, floors = _chowla_grid(lo, hi, grid_size)
+    if grid_size != "all" and grid_size < 1:
+        raise ValueError("grid_size must be >= 1 or 'all'")
+    xs, floors, top = chowla_window(scale, exponent, grid_size)
     overflow = _overflows(rows, top**d)
 
     axis = np.arange(1, top + 1)
     cols = np.array(floors) - 1
-    sums = np.zeros((len(rows), len(xs)), dtype=np.int64)
+    x = np.array(xs)
+    statistic = np.zeros(len(rows))
     ok = np.flatnonzero(~overflow)
-    step = max(1, _EVAL_BLOCK // (top * top))
+    step = max(1, _EVAL_BLOCK // max(top * top, len(xs)))
     for part in (ok[r0 : r0 + step] for r0 in range(0, len(ok), step)):
         lam = sieve.liouville_values(form_grid(rows[part], axis, axis))
-        sums[part] = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)[:, cols]
-    return ChowlaBlock(grid=xs, sums=sums, overflow=overflow)
+        sums = lam.cumsum(1, dtype=np.int64).cumsum(2).diagonal(axis1=1, axis2=2)[:, cols]
+        # float64 division, bit for bit the scalar abs(S) / (x * x)
+        statistic[part] = (np.abs(sums) / (x * x)).max(axis=1)
+    return ChowlaBlock(grid=xs, statistic=statistic, overflow=overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +191,6 @@ class WTrick:
 
 @dataclass(frozen=True)
 class BHResult:
-    forms: tuple[BinaryForm, ...]
-    x: int
     w_modulus: int
     series: Fraction
     correlation: float  # C, von Mangoldt side
@@ -240,14 +245,7 @@ def bh_correlation(forms: Sequence[BinaryForm], x: int, sieve: SieveTable) -> BH
         mask &= np.gcd(g % W, W) == 1
     cramer = trick.density ** len(forms) * Fraction(int(mask.sum()), x * x)
 
-    return BHResult(
-        forms=forms,
-        x=x,
-        w_modulus=W,
-        series=series,
-        correlation=corr,
-        cramer=cramer,
-    )
+    return BHResult(w_modulus=W, series=series, correlation=corr, cramer=cramer)
 
 
 # ---------------------------------------------------------------------------

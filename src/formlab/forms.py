@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .rng import mulhilo, philox_each, philox_words
+from .rng import mulhilo, philox, philox_words
 
 _GRID_BUDGET = 10**8
 
@@ -295,7 +295,7 @@ class CombinatorialCube:
         # the draw's definition: one `integers` call for all d+1 coordinates
         # on the Philox stream (seed, "cube", index)
         lo, hi, n = -self.side, self.side + 1, self.degree + 1
-        draws = [rng.integers(lo, hi, size=n) for rng in philox_each(seed, "cube", indices=indices)]
+        draws = [philox(seed, "cube", i).integers(lo, hi, size=n) for i in indices]
         return np.reshape(np.array(draws, dtype=np.int64), (len(draws), n))
 
     def sample_rows(self, seed: int, indices) -> np.ndarray:

@@ -162,19 +162,6 @@ def parse_config_file(path: str | Path) -> dict:
     return mapping
 
 
-def effective_workers(requested: int) -> int:
-    """Requested worker count, capped by FORMLAB_THREADS when set."""
-    w = max(1, requested)
-    env = os.environ.get("FORMLAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"FORMLAB_THREADS={env!r} is not an integer") from None
-        w = min(w, max(1, cap))
-    return w
-
-
 # ---------------------------------------------------------------------------
 # The experiment kinds.  Records hold plain JSON types only; `statistic`
 # and `H` feed the generic summary, kind-specific fields carry the science.
@@ -234,43 +221,28 @@ def _validate_chowla(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid must be at least 1")
 
 
-def _chowla_sieve_bound(cfg: ExperimentConfig) -> int:
-    top = math.floor(2.0 * cfg.H**cfg.c)
-    need = (cfg.d + 1) * cfg.H * max(top, 1) ** cfg.d
-    return min(_SIEVE_CAP, max(10**4, need))
-
-
 def _chowla_state(cfg: ExperimentConfig) -> dict:
-    lo = float(cfg.H) ** cfg.c
-    grid, _ = chowla_bh._chowla_grid(lo, 2.0 * lo, cfg.grid)
+    # the window first, so one over its budget costs no sieve
+    top = chowla_bh.chowla_window(cfg.H, cfg.c, cfg.grid).top
+    need = (cfg.d + 1) * cfg.H * top**cfg.d
     return {
         "cube": CombinatorialCube(degree=cfg.d, side=cfg.H),
-        "sieve": sieve_mod.build_sieve(_chowla_sieve_bound(cfg)),
-        # rows per chowla_block call, so its (rows, grid points) sums and
-        # trace hold about _EVAL_BLOCK entries however large the grid
-        "part_rows": max(1, forms._EVAL_BLOCK // len(grid)),
+        "sieve": sieve_mod.build_sieve(min(_SIEVE_CAP, max(10**4, need))),
     }
 
 
 def _chowla_records(cfg: ExperimentConfig, state: dict, block: range) -> list[dict]:
     rows = state["cube"].sample_rows(cfg.seed, block)
-    step = state["part_rows"]
-    stats, overflow = [], []
-    for r0 in range(0, len(rows), step):
-        part = chowla_bh.chowla_block(rows[r0 : r0 + step], cfg.H, cfg.c,
-                                      state["sieve"], cfg.grid)
-        stats.append(part.statistic)
-        overflow.append(part.overflow)
-    lo, hi = float(part.grid[0]), float(part.grid[-1])
+    res = chowla_bh.chowla_block(rows, cfg.H, cfg.c, state["sieve"], cfg.grid)
+    window = [res.grid[0], res.grid[-1]]
     out = []
-    for i, coeffs, stat, over in zip(
-        block, rows.tolist(), np.concatenate(stats).tolist(), np.concatenate(overflow).tolist()
-    ):
+    for i, coeffs, stat, over in zip(block, rows.tolist(), res.statistic.tolist(),
+                                     res.overflow.tolist()):
         if over:
             out.append(_error_record(cfg, i, chowla_bh.OVERFLOW))
         else:
             out.append({"record": "sample", "index": i, "coeffs": coeffs,
-                        "statistic": stat, "window": [lo, hi], "H": cfg.H})
+                        "statistic": stat, "window": window, "H": cfg.H})
     return out
 
 
@@ -723,7 +695,7 @@ def compute_records(cfg: ExperimentConfig) -> list[dict]:
     state = _state_for(cfg)
     prefix = protocol.prefix(cfg, state)
     n = protocol.count(cfg)
-    w = effective_workers(cfg.workers)
+    w = cfg.workers
     size = max(1, n // (4 * w))
     blocks = [range(i, min(i + size, n)) for i in range(0, n, size)]
     if w <= 1 or len(blocks) <= 1:

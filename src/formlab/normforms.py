@@ -416,7 +416,7 @@ class RegionB:
         self.x1 = (2.0 ** (-1 / e),) + (0.0,) * (e - 1)
         if abs(norm.eval_float(np.array([self.x1]))[0] - 0.5) > 1e-12:
             raise ValueError("basepoint does not hit 1/2")
-        self.coord, self.kappa, self.cert_inf = _certify_kappa(norm, self.x1)
+        self.kappa = _certify_kappa(norm, self.x1)
         # the budget comes first, so a huge B fails here and not in B**e
         if math.prod(max(0, hi - lo + 1) for lo, hi in self.lattice_bounds()) > _LATTICE_BUDGET:
             raise ResourceLimitError("lattice box exceeds the point budget")
@@ -456,7 +456,7 @@ class RegionB:
         return self._hist
 
 
-def _certify_kappa(norm: NormForm, x1):
+def _certify_kappa(norm: NormForm, x1) -> float:
     e = norm.field.degree
     g0 = [abs(float(v)) for v in norm.gradient(list(x1))]
     j = int(np.argmax(g0))
@@ -476,9 +476,8 @@ def _certify_kappa(norm: NormForm, x1):
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         vals = np.abs(_mp_eval_array(norm.partials[j], pts))
         margin = lip * (kappa / (grid_n - 1))
-        cert = float(vals.min()) - margin
-        if cert >= target:
-            return j, kappa, cert
+        if float(vals.min()) - margin >= target:
+            return kappa
         kappa /= 2
     raise ValueError("could not certify a gradient-stable box radius")
 
@@ -510,7 +509,6 @@ class DensityProfile:
 
     region: RegionB
     samples: int
-    seed: int
     values: np.ndarray  # sorted norm values at sampled points
     half_width: float
 
@@ -522,13 +520,8 @@ class DensityProfile:
         rng = philox(seed, "omega", samples)
         pts = rng.uniform(-1.0, 1.0, size=(samples, e)) * region.kappa + np.asarray(region.x1)
         vals = region.norm.eval_float(pts) * region.B**e
-        return cls(
-            region=region,
-            samples=samples,
-            seed=seed,
-            values=np.sort(vals),
-            half_width=region.B**e / 200.0,
-        )
+        return cls(region=region, samples=samples, values=np.sort(vals),
+                   half_width=region.B**e / 200.0)
 
     def estimate(self, y: float) -> tuple[float, float]:
         """(density estimate, standard error) at value y."""

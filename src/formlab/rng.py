@@ -8,7 +8,6 @@ in which order it ran.  Labels may mix ints and strings.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -57,22 +56,6 @@ def _keys(seed: int, *stream, indices) -> np.ndarray:
     # (state, out) after the leading label parts, one row per key half
     pre = np.array([_prefix(seed, half, *stream) for half in ("key0", "key1")], dtype=np.uint64)
     return (pre[:, 1:] ^ _splitmix64(pre[:, :1] ^ idx)[1]).T
-
-
-def philox_each(seed: int, *stream, indices) -> Iterator[np.random.Generator]:
-    """philox(seed, *stream, i) for each i in indices, in order.
-
-    The keys of the whole index array come from one vectorized hash, and
-    one generator is re-keyed before each yield, so a yielded generator
-    is valid only until the next one is drawn.
-    """
-    # one construction per call: Philox(key=...) gathers unused OS entropy each time
-    gen = np.random.Generator(np.random.Philox(key=0))
-    fresh = gen.bit_generator.state  # counter 0 and an empty output buffer, as on construction
-    for key in _keys(seed, *stream, indices=indices):
-        fresh["state"]["key"] = key
-        gen.bit_generator.state = fresh
-        yield gen
 
 
 # numpy scalars, so that ops mixing them with a uint64 scalar stay in uint64

@@ -458,7 +458,7 @@ def test_sigma_w0_examples(Qi):
 
 def test_sigma_w0_primes_and_product(Qi):
     inst = inst_of(Qi, [6, 0, 6])
-    assert inst.content == 6
+    assert inst.form.content == 6
     # W0 primes: {2,3} below threshold, content adds nothing new
     sigma = ch.sigma_w0(inst, m_dk=3, k_desk=2)
     assert sigma == ch.sigma_pp(inst, 2, 2) * ch.sigma_pp(inst, 3, 2)

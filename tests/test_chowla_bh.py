@@ -69,9 +69,9 @@ def oracle_statistic(form, xs):
 
 
 def one_row(form, scale, exponent, sieve, grid_size=16):
-    """(grid, statistic, trace) of one form, as a one-row block."""
+    """(grid, statistic) of one form, as a one-row block."""
     block = chowla_block([form.coeffs], scale, exponent, sieve, grid_size)
-    return block.grid, float(block.statistic[0]), block.trace[0].tolist()
+    return block.grid, float(block.statistic[0])
 
 
 def lambda_partial_sums(limit):
@@ -86,36 +86,32 @@ def lambda_partial_sums(limit):
 
 def test_worked_product_form_grid_all(sieve_small):
     # g = uv: the double sum factors into (sum of lambda(u))^2.
-    grid, stat, trace = one_row(BinaryForm([0, 1, 0]), 10**4, 0.13, sieve_small, "all")
+    grid, stat = one_row(BinaryForm([0, 1, 0]), 10**4, 0.13, sieve_small, "all")
     lo = (10**4) ** 0.13
     assert grid[0] == pytest.approx(lo)
     assert [x for x in grid[1:]] == [4.0, 5.0, 6.0]
     M = lambda_partial_sums(6)
-    for x, val in zip(grid, trace):
-        top = math.floor(x)
-        assert val == pytest.approx(M[top] ** 2 / (x * x))
+    assert stat == max(M[math.floor(x)] ** 2 / (x * x) for x in grid)
     assert stat == pytest.approx(M[3] ** 2 / (lo * lo))
 
 
 def test_worked_linear_form(sieve_small):
     # g = u: statistic reduces to |sum of lambda(u)| / x at integer x.
-    grid, stat, trace = one_row(BinaryForm([1, 0]), 10**4, 0.25, sieve_small, "all")
+    grid, stat = one_row(BinaryForm([1, 0]), 10**4, 0.25, sieve_small, "all")
     M = lambda_partial_sums(20)
-    for x, val in zip(grid, trace):
-        if x == int(x):
-            assert val == pytest.approx(abs(M[int(x)]) / x)
-    assert stat == max(trace)
+    assert stat == max(abs(math.floor(x) * M[math.floor(x)]) / (x * x) for x in grid)
+    assert stat == pytest.approx(max(abs(M[int(x)]) / x for x in grid if x == int(x)))
 
 
 def test_worked_even_power_is_one(sieve_small):
     # g = v^2: every value is a square, lambda = 1, so the sup hits 1
     # exactly at integer grid points.
-    _, stat, _ = one_row(BinaryForm([0, 0, 1]), 1000, 0.13, sieve_small, "all")
+    _, stat = one_row(BinaryForm([0, 0, 1]), 1000, 0.13, sieve_small, "all")
     assert stat == pytest.approx(1.0)
 
 
 def test_zero_form_statistic_zero(sieve_small):
-    _, stat, _ = one_row(BinaryForm([0, 0, 0]), 1000, 0.1, sieve_small, "all")
+    _, stat = one_row(BinaryForm([0, 0, 0]), 1000, 0.1, sieve_small, "all")
     assert stat == 0.0
 
 
@@ -129,10 +125,8 @@ def test_statistic_matches_oracle_fuzz(sieve_1m):
                 coeffs[0] = 1
             g = BinaryForm(coeffs)
             for grid in ("all", 16):
-                xs, stat, trace = one_row(g, H, c, sieve_1m, grid)
-                best, vals = oracle_statistic(g, xs)
-                assert stat == best
-                assert trace == vals
+                xs, stat = one_row(g, H, c, sieve_1m, grid)
+                assert stat == oracle_statistic(g, xs)[0]
                 assert 0.0 <= stat <= 1.0
             # the integer grid realizes the true sup over the window
             s_all = one_row(g, H, c, sieve_1m, "all")[1]
@@ -157,15 +151,13 @@ def test_statistic_exact_against_oracle(case, coeffs, grids):
     g = BinaryForm(coeffs[: d + 1])
     first, other = grids
     block = chowla_block([g.coeffs], H, c, _SIEVE_30, first)
-    before = (block.grid, float(block.statistic[0]), block.trace[0].tolist())
+    before = (block.grid, float(block.statistic[0]))
     assert isinstance(block.grid, tuple)
-    best, vals = oracle_statistic(g, block.grid)
-    assert before[1] == best
-    assert before[2] == vals
+    assert before[1] == oracle_statistic(g, block.grid)[0]
     # a later call with another grid leaves the earlier result as it was
     later = one_row(g, H, c, _SIEVE_30, other)
     assert later[1] == oracle_statistic(g, later[0])[0]
-    assert (block.grid, float(block.statistic[0]), block.trace[0].tolist()) == before
+    assert (block.grid, float(block.statistic[0])) == before
     assert one_row(g, H, c, _SIEVE_30, first) == before
 
 
@@ -192,35 +184,58 @@ def test_block_matches_statistic_row_by_row(case, rows, grid):
     d, H, c = case
     rows = [r[: d + 1] for r in rows]
     block = chowla_block(np.array(rows, dtype=np.int64), H, c, _SIEVE_30, grid)
-    assert block.sums.shape == (len(rows), len(block.grid))
-    stats, traces = block.statistic.tolist(), block.trace.tolist()
+    assert block.statistic.shape == block.overflow.shape == (len(rows),)
+    stats = block.statistic.tolist()
     for r, row in enumerate(rows):
         alone = chowla_block([row], H, c, _SIEVE_30, grid)
         assert alone.overflow[0] == block.overflow[r]
         if block.overflow[r]:
-            assert not block.sums[r].any()
+            assert stats[r] == 0.0
             continue
         assert block.grid == alone.grid
         assert stats[r] == alone.statistic[0]
-        assert traces[r] == alone.trace[0].tolist()
 
 
 def test_block_guard_splits_evaluation(monkeypatch, sieve_small):
     # with the entry budget below one form's square every form is evaluated
-    # on its own, with the same sums
+    # on its own, with the same statistics
     rows = CombinatorialCube(2, 50).sample_rows(3, range(40))
     whole = chowla_block(rows, 10**4, 0.13, sieve_small)
     monkeypatch.setattr(chowla_bh, "_EVAL_BLOCK", 1)
     alone = chowla_block(rows, 10**4, 0.13, sieve_small)
-    assert np.array_equal(whole.sums, alone.sums)
     assert whole.statistic.tolist() == alone.statistic.tolist()
+
+
+def test_block_chunks_cut_by_grid(monkeypatch):
+    # at a grid of 2^18 points each evaluation chunk holds at most
+    # _EVAL_BLOCK // max(top^2, G) rows, and the statistics are one-row blocks'
+    sieve = SieveTable(10**4)
+    rows = CombinatorialCube(3, 1000).sample_rows(42, range(20))
+    chunks = []
+    real = chowla_bh.form_grid
+
+    def spy(part, *args):
+        chunks.append(len(part))
+        return real(part, *args)
+
+    monkeypatch.setattr(chowla_bh, "form_grid", spy)
+    block = chowla_block(rows, 1000, 0.08, sieve, 2**18)
+    top, G = chowla_bh.chowla_window(1000, 0.08, 2**18).top, len(block.grid)
+    assert G >= 2**18 and not block.overflow.any()
+    assert len(chunks) > 1 and sum(chunks) == len(rows)
+    assert all(n <= max(1, chowla_bh._EVAL_BLOCK // max(top * top, G)) for n in chunks)
+    assert block.statistic.tolist() == [
+        chowla_block([row], 1000, 0.08, sieve, 2**18).statistic[0] for row in rows]
 
 
 def test_block_budget_and_empty(sieve_small):
     with pytest.raises(ResourceLimitError, match="double-sum budget"):
         chowla_block(np.zeros((3, 2), dtype=np.int64), 10**13, 0.25, sieve_small)
+    # the cap on the grid points refuses before any point is made
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 262144"):
+        chowla_block(np.zeros((3, 2), dtype=np.int64), 1000, 0.08, sieve_small, 2**18 + 1)
     empty = chowla_block(np.zeros((0, 4), dtype=np.int64), 1000, 0.08, sieve_small)
-    assert empty.statistic.shape == (0,) and empty.trace.shape == (0, len(empty.grid))
+    assert empty.statistic.shape == (0,) and empty.overflow.shape == (0,)
 
 
 def test_statistic_validation(sieve_small):

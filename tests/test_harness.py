@@ -14,7 +14,6 @@ from hypothesis.strategies import fixed_dictionaries
 from formlab import chowla_bh, cli, harness
 from formlab import sieve as sieve_mod
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
-from formlab.forms import _EVAL_BLOCK
 from formlab.normforms import field_presets
 
 
@@ -80,16 +79,6 @@ def test_config_file_parsing(tmp_path):
         harness.parse_config_file(bad)
     with pytest.raises(ConfigError):
         harness.parse_config_file(tmp_path / "missing.cfg")
-
-
-def test_effective_workers_env_cap(monkeypatch):
-    monkeypatch.delenv("FORMLAB_THREADS", raising=False)
-    assert harness.effective_workers(1) == 1
-    monkeypatch.setenv("FORMLAB_THREADS", "2")
-    assert harness.effective_workers(8) == 2
-    monkeypatch.setenv("FORMLAB_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        harness.effective_workers(8)
 
 
 def test_config_hash_stable():
@@ -326,32 +315,6 @@ def test_chowla_workers_agree_off_block_multiple(tmp_path):
     assert [r["index"] for r in recs] == list(range(23))
 
 
-def test_chowla_block_cut_by_grid(monkeypatch):
-    # at a large grid each chowla_block call holds at most _EVAL_BLOCK // G
-    # rows, G the window's grid points, and the records are the unsplit block's
-    cfg = harness.make_config("chowla", {"samples": 10, "grid": 2**18})
-    state = harness._state_for(cfg)
-    block = range(10)
-    calls = []
-    real = chowla_bh.chowla_block
-
-    def spy(rows, *args):
-        out = real(rows, *args)
-        calls.append((len(rows), len(out.grid)))
-        return out
-
-    monkeypatch.setattr(chowla_bh, "chowla_block", spy)
-    recs = harness._chowla_records(cfg, state, block)
-    assert len(calls) > 1 and sum(n for n, _ in calls) == len(block)
-    assert all(n <= max(1, _EVAL_BLOCK // g) for n, g in calls)
-    rows = state["cube"].sample_rows(cfg.seed, block)
-    whole = real(rows, cfg.H, cfg.c, state["sieve"], cfg.grid)
-    assert not whole.overflow.any()
-    assert recs == [{"record": "sample", "index": i, "coeffs": coeffs, "statistic": stat,
-                     "window": [whole.grid[0], whole.grid[-1]], "H": cfg.H}
-                    for i, coeffs, stat in zip(block, rows.tolist(), whole.statistic.tolist())]
-
-
 def test_chowla_records_match_row_by_row():
     # at H = 2^59 and d = 1 most draws overflow the layer sums; the block's
     # error and sample records are the ones each draw gives on its own
@@ -371,11 +334,19 @@ def test_chowla_records_match_row_by_row():
     assert {r["record"] for r in recs} == {"error", "sample"}
 
 
-def test_chowla_budget_error_for_every_index():
-    cfg = harness.make_config("chowla", {"samples": 5, "d": 1, "c": 0.25, "H": 10**13})
-    assert harness.compute_records(cfg) == [
-        {"record": "error", "index": i, "statistic": None, "H": 10**13,
-         "error": "scale window too large for the double-sum budget"} for i in range(5)]
+# results.jsonl and summary.csv digests of a run whose evaluation chunks are
+# cut by its 5,000 grid points rather than by its window's square
+_GRID_BOUND_RUN = ({"samples": 300, "grid": 5000, "d": 2, "H": 100000, "c": 0.12},
+                   "025318ec2d2411478544031ffa1e76640f55aaf155393651eb28621693d95371",
+                   "e5b314569735098c1e577bb2d894d8859215d660417ba8192562712fe1d1394a")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chowla_grid_bound_run_pinned(tmp_path, workers):
+    settings, results, summary = _GRID_BOUND_RUN
+    man = harness.run(harness.make_config(
+        "chowla", {**settings, "workers": workers, "out": str(tmp_path)}))
+    assert man.files == {"results.jsonl": results, "summary.csv": summary}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -442,7 +413,6 @@ class _PoolStub:
 
 @pytest.mark.parametrize("samples,workers", [(2, 5), (3, 64), (40, 3)])
 def test_pool_has_at_most_one_worker_per_block(monkeypatch, samples, workers):
-    monkeypatch.delenv("FORMLAB_THREADS", raising=False)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolStub)
     monkeypatch.setattr(_PoolStub, "sizes", [])
     cfg = harness.make_config("chowla", {"H": 90, "samples": samples, "workers": workers})
@@ -458,12 +428,9 @@ def test_workers_ceiling():
         harness.make_config("chowla", {"workers": harness.MAX_WORKERS + 1})
 
 
-# results.jsonl digests of runs with error records: the chowla window is over
-# its budget at every index, and value-budget errors sit beside hasse samples
-# and density instances
+# results.jsonl digests of runs with error records: value-budget errors sit
+# beside hasse samples and density instances
 _ERROR_RUNS = {
-    "chowla": ({"d": 1, "H": 10**18, "c": 0.25, "samples": 3},
-               "27c402f61361e018021d07b918616a5509fdc1238702e2a601fbd99132f9b87b"),
     "hasse": ({"H": 1, "x": 5000, "samples": 4},
               "6baa5a11adec56ba3179afd81f77014f2555865956beaf47a63476dcf374933e"),
     "density": ({"H": 1, "x": 5000, "samples": 3},
@@ -744,12 +711,17 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     # {tmp}/file is a regular file, so no directory can be made under it
     ["bh", "--samples", "1", "--out", "{tmp}/file/x"],
     ["chowla", "--workers", "65", *_RUN_OUT],
+    # the window's square is over its budget, or its grid over its cap
+    ["chowla", "--d", "1", "--H", "10000000000000", "--c", "0.25", *_RUN_OUT],
+    ["chowla", "--d", "1", "--H", "1000000000000000000", "--c", "0.25", *_RUN_OUT],
+    ["chowla", "--grid", "262145", *_RUN_OUT],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
         "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
         "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget",
         "chowla-H-1e19", "bh-H-1e19", "chowla-H-2^63-1", "bh-H-2^63-1", "hasse-height-0",
         "hasse-height-negative", "hasse-primes-negative", "bh-out-under-file",
-        "workers-over-ceiling"])
+        "workers-over-ceiling", "chowla-window-H-1e13", "chowla-window-H-1e18",
+        "chowla-grid-over-cap"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "file").write_text("")
     builds = []

@@ -434,7 +434,13 @@ def test_region_positive(gaussian_norm, region12):
     r = region12
     e1_val = gaussian_norm.eval_float(np.array([r.x1]))[0]
     assert e1_val == pytest.approx(0.5)
-    assert r.kappa > 0 and r.cert_inf >= abs(gaussian_norm.gradient(list(r.x1))[r.coord]) / 2
+    assert r.kappa > 0
+    # the certified box keeps the basepoint's largest partial at half its size or more
+    g0 = [abs(v) for v in gaussian_norm.gradient(list(r.x1))]
+    j = g0.index(max(g0))
+    steps = np.linspace(-r.kappa, r.kappa, 9)
+    assert all(abs(gaussian_norm.gradient([r.x1[0] + a, r.x1[1] + b])[j]) >= g0[j] / 2
+               for a in steps for b in steps)
     lo, hi = r.support
     assert lo > 0
     assert r.volume == pytest.approx((2 * r.kappa * 12.0) ** 2)
