@@ -428,9 +428,12 @@ def test_workers_ceiling():
         harness.make_config("chowla", {"workers": harness.MAX_WORKERS + 1})
 
 
-# results.jsonl digests of runs with error records: value-budget errors sit
-# beside hasse samples and density instances
+# results.jsonl digests of runs with error records: layer-sum overflows sit
+# beside chowla samples, and value-budget errors beside hasse samples and
+# density instances
 _ERROR_RUNS = {
+    "chowla": ({"d": 1, "H": 2**59, "c": 0.05, "samples": 12},
+               "2a169f54a860ee8e6bc2e15eef14c7cdcb5822a7cf63d385cb922973ea79a420"),
     "hasse": ({"H": 1, "x": 5000, "samples": 4},
               "6baa5a11adec56ba3179afd81f77014f2555865956beaf47a63476dcf374933e"),
     "density": ({"H": 1, "x": 5000, "samples": 3},
