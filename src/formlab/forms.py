@@ -207,28 +207,51 @@ def zero_count_mod(g, q: int):
 # ---------------------------------------------------------------------------
 # gcd bound.
 
+_GCD_CAP = 2**62  # a saturated rhs reads this; every lhs is below it
+
+
 @dataclass(frozen=True)
 class GcdBound:
-    lhs: int
-    rhs: int
-    holds: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
 
 
-def gcd_bound_check(form: BinaryForm, m: int, n: int, k: int, l: int) -> GcdBound:
+def gcd_bound_check(rows, m, n, k, l) -> GcdBound:
     """Both sides of gcd(g(m,n), m^k n^(d-l)) <= gcd(m,n)^d gcd(cd,m)^k gcd(c0,n)^(d-l).
 
     The pairing of end coefficients follows from the congruences
     g(m,n) = cd * n^d (mod m) and g(m,n) = c0 * m^d (mod n): the constant
     coefficient controls divisibility by m and the leading one by n.
+
+    `rows` is an (F, d+1) array of coefficient rows of one degree and m, n,
+    k, l are length-F arrays.  With (d+1) max|c| max(|m|,|n|)^d < 2^63,
+    g(m,n) and m^k n^(d-l) are exact in int64.  The lhs is at most
+    |m^k n^(d-l)|, or |c0 m^d| or |cd n^d| when m or n is 0: below
+    2^63/(d+1) <= _GCD_CAP.  So the rhs may saturate there, and `holds`
+    stays exact.
     """
-    d = form.degree
-    if not (0 <= k < l <= d):
+    rows = np.asarray(rows, dtype=np.int64)
+    m, n, k, l = (np.asarray(a, dtype=np.int64) for a in (m, n, k, l))
+    d = rows.shape[1] - 1
+    if not np.all((0 <= k) & (k < l) & (l <= d)):
         raise ValueError("need 0 <= k < l <= degree")
-    c0, cd = form.coeffs[0], form.coeffs[-1]
-    if c0 * cd == 0:
+    c0, cd = rows[:, 0], rows[:, -1]
+    if not np.all((c0 != 0) & (cd != 0)):
         raise ValueError("the bound requires nonzero end coefficients")
-    lhs = math.gcd(form(m, n), m**k * n ** (d - l))
-    rhs = math.gcd(m, n) ** d * math.gcd(cd, m) ** k * math.gcd(c0, n) ** (d - l)
+    top = max(-int(rows.min(initial=0)), int(rows.max(initial=0)))
+    side = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (m, n))
+    if (d + 1) * top * side**d >= 2**63:
+        raise ValueError("coefficients or points too large for int64 evaluation")
+    expo = np.arange(d + 1)
+    g = (rows * m[:, None] ** expo[::-1] * n[:, None] ** expo).sum(axis=1)
+    lhs = np.gcd(g, m**k * n ** (d - l))
+    rhs = np.gcd(m, n) ** d
+    ends = ((np.gcd(cd, m), k), (np.gcd(c0, n), d - l))
+    for j in range(d):  # step j multiplies in each end factor whose power exceeds j
+        for base, e in ends:
+            b = np.where(j < e, base, 1)  # >= 1, as both end coefficients are nonzero
+            rhs = np.where(rhs <= _GCD_CAP // b, rhs * b, _GCD_CAP)
     return GcdBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 

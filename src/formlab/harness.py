@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing as mp
@@ -54,6 +55,10 @@ _SCAN_LIMIT = 10**5
 _SCAN_CHUNK = 1000
 # the most pool workers a run may ask for; a pool forks all of them at once
 MAX_WORKERS = 64
+# the most Monte-Carlo points (mc) a run may draw; the profile holds two float64 copies
+_MC_POINTS = 10**7
+# draws hensel-density-floor may take to certify its 8 instances (seed 11 takes 12)
+_HENSEL_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -330,6 +335,8 @@ def _validate_local(cfg: ExperimentConfig) -> None:
     desk = desk_fields(cfg.kind)
     if min(getattr(cfg, name) for name in desk) < 1:
         raise ConfigError(f"{', '.join(desk)} must be positive")
+    if not 1000 <= cfg.mc <= _MC_POINTS:
+        raise ConfigError(f"mc must be between 1000 and {_MC_POINTS}")
 
 
 def _validate_hasse(cfg: ExperimentConfig) -> None:
@@ -423,8 +430,6 @@ def _validate_density(cfg: ExperimentConfig) -> None:
     _validate_local(cfg)
     if not 1 <= cfg.B < math.inf:
         raise ConfigError("region scale B must be finite and at least 1")
-    if cfg.mc < 1000:
-        raise ConfigError("mc must be at least 1000")
     if cfg.bins < 2:
         raise ConfigError("bins must be at least 2")
 
@@ -910,40 +915,41 @@ def _check(suite: str, name: str, fn: Callable[[], str]) -> CheckResult:
         return CheckResult(suite, name, False, f"{type(exc).__name__}: {exc}")
 
 
-def _trial_division(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def _oracle_checks() -> list[CheckResult]:
     out = []
     sv = sieve_mod.build_sieve(20000)
 
     def against_trial() -> str:
-        for n in range(1, 20001):
-            fac = _trial_division(n)
-            omega = sum(fac.values())
-            assert sv.liouville(n) == (-1) ** omega, f"liouville({n})"
-            mu = 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
-            assert int(sv.mobius_table()[n]) == mu, f"mobius({n})"
+        # trial division of 1..N by every t in 2..isqrt(N), in arrays, so no
+        # spf table is read; a composite t never divides what is left
+        N = 20000
+        rest = np.arange(1, N + 1)
+        big, small, prime = (np.zeros(N, dtype=np.int64) for _ in range(3))
+        tau3 = np.ones(N, dtype=np.int64)
+        for t in range(2, math.isqrt(N) + 1):
+            at = slice(t - 1, None, t)  # only what is left of a multiple of t can hold t
+            part = rest[at]  # a view: dividing it divides rest
+            e = np.zeros(len(part), dtype=np.int64)
+            while (hit := part % t == 0).any():
+                e += hit
+                part[hit] //= t
+            big[at] += e
+            small[at] += e > 0
+            tau3[at] *= (e + 1) * (e + 2) // 2
+            prime[at][e > 0] = t
+        left = rest > 1  # one prime factor above isqrt(N) is left
+        big, small, tau3 = big + left, small + left, tau3 * (1 + 2 * left)
+        prime[left] = rest[left]
+        mu_table = sv.mobius_table().tolist()
+        for n, b, s, p, t3 in zip(range(1, N + 1), big.tolist(), small.tolist(),
+                                  prime.tolist(), tau3.tolist()):
+            assert sv.liouville(n) == (-1) ** b, f"liouville({n})"
+            assert mu_table[n] == (0 if b > s else (-1) ** s), f"mobius({n})"
             tag = sv.mangoldt(n)
-            if len(fac) == 1:
-                ((p, k),) = fac.items()
-                assert tag.prime == p and tag.exponent == k, f"mangoldt({n})"
+            if s == 1:
+                assert tag.prime == p and tag.exponent == b, f"mangoldt({n})"
             else:
                 assert tag.prime is None, f"mangoldt({n})"
-            t3 = 1
-            for e in fac.values():
-                t3 *= math.comb(e + 2, 2)
             assert sv.tau_b(n, 3) == t3, f"tau_3({n})"
         return "lambda, mu, Lambda-tags, tau_3 agree on 1..20000"
 
@@ -993,19 +999,17 @@ def _lemma_checks() -> list[CheckResult]:
     out.append(_check("lemmas", "mobius-divisor-partition", mobius_partition))
 
     def zero_count_bound() -> str:
-        import itertools
-
-        tested = 0
-        for coeffs in itertools.product(range(-3, 4), repeat=3):
-            g = BinaryForm(coeffs)
-            if g.is_zero or not g.is_separable:
-                continue
-            for p in (2, 3):
-                for k in (1, 2):
-                    res = forms.zero_count_bound_check(g, p, k)
-                    assert res.holds, (coeffs, p, k)
-                    tested += 1
-        return f"{tested} prime-power zero-count bounds hold"
+        gs = [g for g in map(BinaryForm, itertools.product(range(-3, 4), repeat=3))
+              if g.is_separable]
+        rows = np.array([g.coeffs for g in gs])
+        # one count per prime power over all forms, checked form by form
+        counts = {(p, k): forms.zero_count_mod(rows, p**k).tolist()
+                  for p in (2, 3) for k in (1, 2)}
+        for i, g in enumerate(gs):
+            for (p, k), c in counts.items():
+                res = forms.zero_count_bound_check(g, p, k, count=c[i])
+                assert res.holds, (g.coeffs, p, k)
+        return f"{len(gs) * len(counts)} prime-power zero-count bounds hold"
 
     out.append(_check("lemmas", "zero-count-bound", zero_count_bound))
 
@@ -1019,16 +1023,14 @@ def _lemma_checks() -> list[CheckResult]:
         ns = rng.integers(1, 5000, size=size)
         ls = rng.integers(1, ds + 1)
         ks = rng.integers(0, ls)
-        for lo in range(0, size, 1000):  # 1,000 rows as Python ints at a time
-            part = slice(lo, lo + 1000)
-            for d, row, m, n, k, l in zip(ds[part].tolist(), block[part].tolist(),
-                                          ms[part].tolist(), ns[part].tolist(),
-                                          ks[part].tolist(), ls[part].tolist()):
-                coeffs = row[: d + 1]
-                if coeffs[0] * coeffs[-1] == 0:
-                    continue
-                res = forms.gcd_bound_check(BinaryForm(coeffs), m, n, k, l)
-                assert res.holds, (coeffs, m, n, k, l)
+        failed = []
+        for d in (2, 3, 4):  # one array check per degree, over rows with nonzero ends
+            idx = np.flatnonzero(ds == d)
+            idx = idx[(block[idx, 0] != 0) & (block[idx, d] != 0)]
+            res = forms.gcd_bound_check(block[idx, : d + 1], ms[idx], ns[idx], ks[idx], ls[idx])
+            failed += idx[~res.holds][:1].tolist()
+        i = min(failed, default=None)  # the first failing draw
+        assert i is None, (block[i, : ds[i] + 1].tolist(), *(int(a[i]) for a in (ms, ns, ks, ls)))
         return "10^4 fuzzed gcd bounds hold"
 
     out.append(_check("lemmas", "gcd-bound-fuzz", gcd_bound))
@@ -1095,8 +1097,9 @@ def _lemma_checks() -> list[CheckResult]:
 
     def hensel_bound() -> str:
         rng = philox(11, "henselbat")
-        confirmed = 0
-        while confirmed < 8:
+        confirmed = draws = 0
+        while confirmed < 8 and draws < _HENSEL_DRAWS:
+            draws += 1
             coeffs = [int(v) for v in rng.integers(-5, 6, size=3)]
             if coeffs[0] * coeffs[-1] == 0:
                 continue
@@ -1108,6 +1111,7 @@ def _lemma_checks() -> list[CheckResult]:
             for k in (1, 2):
                 assert chatelet.sigma_pp(inst, 3, k) >= floor, (coeffs, k)
             confirmed += 1
+        assert confirmed == 8, f"{confirmed} of 8 instances certified in {_HENSEL_DRAWS} draws"
         return f"sigma lower bound holds for {confirmed} certified instances at p = 3"
 
     out.append(_check("lemmas", "hensel-density-floor", hensel_bound))

@@ -309,7 +309,7 @@ def gcd_divisibility_counts(qs: Sequence[int], a: int, b: int, c: int, x: int) -
     """Exact #{(v1,v2) in [1,x]^2 : q | v1^a v2^b (v1^c - v2^c)} per prime power q in qs.
 
     The values are evaluated once, exactly in int64 (|value| < x^(a+b+c)
-    < 2^63), and reduced mod each q; the x^2 enumeration is budget-capped.
+    < 2^63), and tested against each q; the x^2 enumeration is budget-capped.
     """
     for q in qs:
         _check_divisibility(q, a, b, c, x)
@@ -320,9 +320,21 @@ def gcd_divisibility_counts(qs: Sequence[int], a: int, b: int, c: int, x: int) -
     chunk = max(1, 2**20 // x)
     for i0 in range(0, x, chunk):
         v1 = v[i0 : i0 + chunk, None]
-        vals = v1**a * v**b * (v1**c - v**c)
-        counts += [np.count_nonzero(vals % q == 0) for q in qs]
+        mags = np.abs(v1**a * v**b * (v1**c - v**c)).view(np.uint64)
+        counts += [np.count_nonzero(_divisible(mags, q)) for q in qs]
     return counts
+
+
+def _divisible(mags: np.ndarray, q: int) -> np.ndarray:
+    """q | m for each uint64 m, q a prime power, with no division.
+
+    2^j divides m when m's low j bits vanish.  For odd q, m -> m q^-1 mod
+    2^64 maps the multiples of q onto 0..floor((2^64-1)/q) and every other
+    m above it (Granlund and Montgomery, PLDI 1994, section 9).
+    """
+    if q & (q - 1) == 0:
+        return mags & np.uint64(q - 1) == 0
+    return mags * np.uint64(pow(q, -1, 2**64)) <= np.uint64((2**64 - 1) // q)
 
 
 def _check_divisibility(q: int, a: int, b: int, c: int, x: int) -> None:

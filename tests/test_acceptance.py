@@ -178,16 +178,16 @@ def test_c04_gcd_bound_and_divisibility():
     ls = rng.integers(1, degs + 1)
     ks = rng.integers(0, ls)
     violations = 0
-    chunk = 10**5  # rows turned into Python ints at a time
-    for lo in range(0, size, chunk):
-        part = slice(lo, lo + chunk)
-        for deg, row, m, n, k, l in zip(degs[part].tolist(), block[part].tolist(),
-                                        ms[part].tolist(), ns[part].tolist(),
-                                        ks[part].tolist(), ls[part].tolist()):
-            coeffs = row[: deg + 1]
-            if coeffs[0] == 0 or coeffs[-1] == 0:
-                continue
-            violations += not fm.gcd_bound_check(fm.BinaryForm(coeffs), m, n, k, l).holds
+    failed = []
+    for deg in (1, 2, 3):  # one array check per degree, over rows with nonzero ends
+        idx = np.flatnonzero(degs == deg)
+        idx = idx[(block[idx, 0] != 0) & (block[idx, deg] != 0)]
+        res = fm.gcd_bound_check(block[idx, : deg + 1], ms[idx], ns[idx], ks[idx], ls[idx])
+        violations += int(np.count_nonzero(~res.holds))
+        failed += idx[~res.holds][:1].tolist()
+    i = min(failed, default=None)  # the first failing draw, as (coeffs, m, n, k, l)
+    first = "" if i is None else (
+        f"first gcd failure {(block[i, : degs[i] + 1].tolist(), *(int(a[i]) for a in (ms, ns, ks, ls)))}, ")
 
     tab = build_sieve(10**4)
     pps = []
@@ -209,7 +209,7 @@ def test_c04_gcd_bound_and_divisibility():
     detail = "; ".join(f"{t}: fit={f:.3f}" for t, f, _ in worst[:2])
     _verdict(4, violations == 0,
              f"1e6 gcd fuzz + {len(pps)} moduli x 8 triples, "
-             f"{violations} violations, {detail}, ...")
+             f"{violations} violations, {first}{detail}, ...")
 
 
 # ---------------------------------------------------------------------------

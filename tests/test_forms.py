@@ -254,36 +254,119 @@ def test_zero_count_bound_saturated_case():
 
 # -- gcd bound -----------------------------------------------------------------------
 
+def _gcd_bound_scalar(form: BinaryForm, m: int, n: int, k: int, l: int):
+    """(lhs, rhs, holds) of the gcd bound for one form, in Python ints: the oracle."""
+    d = form.degree
+    c0, cd = form.coeffs[0], form.coeffs[-1]
+    lhs = math.gcd(form(m, n), m**k * n ** (d - l))
+    rhs = math.gcd(m, n) ** d * math.gcd(cd, m) ** k * math.gcd(c0, n) ** (d - l)
+    return lhs, rhs, lhs <= rhs
+
+
+def _assert_gcd_rows_match(rows, m, n, k, l):
+    res = forms.gcd_bound_check(np.array(rows, dtype=np.int64), m, n, k, l)
+    got = list(zip(res.lhs.tolist(), res.rhs.tolist(), res.holds.tolist()))
+    want = []
+    for i, row in enumerate(rows):
+        lhs, rhs, holds = _gcd_bound_scalar(BinaryForm(row), m[i], n[i], k[i], l[i])
+        want.append((lhs, min(rhs, forms._GCD_CAP), holds))
+    assert got == want
+    return res
+
+
+@st.composite
+def _gcd_draws(draw):
+    """Rows of one degree 1..4 with nonzero ends; points and exponents per row."""
+    d = draw(st.integers(1, 4))
+    end, mid, point = st.integers(-30, 30).filter(bool), st.integers(-30, 30), st.integers(-60, 60)
+    rows, m, n, k, l = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        rows.append([draw(end), *(draw(mid) for _ in range(d - 1)), draw(end)])
+        m.append(draw(point))
+        n.append(draw(point))
+        l.append(draw(st.integers(1, d)))
+        k.append(draw(st.integers(0, l[-1] - 1)))
+    return rows, m, n, k, l
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=_gcd_draws())
+@example(draws=([[3, -2]], [0], [0], [0], [1]))  # m = n = 0, k = 0, l = d
+@example(draws=([[1, 0, 0, 0, 5]] * 3, [0, -7, 0], [-4, 0, 0], [0, 3, 0], [4, 4, 4]))
+@example(draws=([[-2, 7, 1, -9]] * 2, [-12, 12], [-18, -18], [0, 2], [3, 3]))
+def test_gcd_bound_matches_scalar_oracle(draws):
+    _assert_gcd_rows_match(*draws)
+
+
+def test_gcd_bound_saturated_rhs_matches_oracle():
+    # gcd(m,n)^d gcd(cd,m)^k gcd(c0,n)^(d-l) runs past 2^62 while every
+    # bound (d+1) max|c| max(|m|,|n|)^d stays below 2^63
+    rows = [[2**10, 1, 1, 1, 2**10], [2**10, -3, 0, 5, -(2**10)], [7, 0, 0, 0, 2**10]]
+    m, n = [2**12, -(2**12), 2**12], [2**12, 2**12, -(2**11)]
+    res = _assert_gcd_rows_match(rows, m, n, [2, 1, 3], [3, 2, 4])
+    assert res.rhs.tolist()[:2] == [forms._GCD_CAP] * 2 and res.holds.all()
+    rows = [[2**20, 0, 0, 2**20], [3, 0, 0, 2**20]]
+    res = _assert_gcd_rows_match(rows, [2**13, 2**13], [2**13, 2**13], [1, 2], [2, 3])
+    assert res.rhs.tolist()[0] == forms._GCD_CAP
+
+
 def test_gcd_bound_worked():
-    g = BinaryForm([1, 0, 1])
-    r = forms.gcd_bound_check(g, 2, 2, 0, 2)
-    assert r.lhs == 1 and r.holds
-    r = forms.gcd_bound_check(g, 3, 6, 1, 2)
-    assert (r.lhs, r.rhs) == (3, 9) and r.holds
-    r = forms.gcd_bound_check(BinaryForm([2, 3]), 3, 2, 0, 1)
-    assert r.lhs == 1 and r.holds
+    r = forms.gcd_bound_check([[1, 0, 1], [1, 0, 1]], [2, 3], [2, 6], [0, 1], [2, 2])
+    assert r.lhs.tolist() == [1, 3] and r.rhs.tolist()[1] == 9 and r.holds.all()
+    r = forms.gcd_bound_check([[2, 3]], [3], [2], [0], [1])
+    assert r.lhs.tolist() == [1] and r.holds.all()
+    r = forms.gcd_bound_check(np.zeros((0, 3), dtype=np.int64), *[np.zeros(0, dtype=np.int64)] * 4)
+    assert r.holds.shape == (0,)
 
 
 def test_gcd_bound_validation():
-    g = BinaryForm([1, 0, 1])
-    with pytest.raises(ValueError):
-        forms.gcd_bound_check(g, 1, 1, 2, 2)  # k >= l
-    with pytest.raises(ValueError):
-        forms.gcd_bound_check(BinaryForm([0, 1, 1]), 1, 1, 0, 1)  # c0 = 0
+    one = [[1]] * 2
+    with pytest.raises(ValueError, match="k < l"):
+        forms.gcd_bound_check([[1, 0, 1], [1, 0, 1]], *one, [0, 2], [1, 2])  # k >= l
+    with pytest.raises(ValueError, match="k < l"):
+        forms.gcd_bound_check([[1, 0, 1]], [1], [1], [0], [3])  # l > d
+    with pytest.raises(ValueError, match="nonzero end"):
+        forms.gcd_bound_check([[1, 0, 1], [0, 1, 1]], *one, [0, 0], [1, 1])  # c0 = 0
+
+
+@pytest.mark.parametrize("rows, m, n", [
+    ([[2**62, 1]], [1], [1]),          # 2 * 2^62 = 2^63
+    ([[1, -(2**62)]], [1], [-1]),
+    ([[1, 0, 1]], [2**31], [1]),       # 3 * 2^62
+    ([[1, 0, 1]], [1], [-(2**31)]),
+    ([[1, 1, 1, 1, 1]], [2**16], [3]),  # 5 * 2^64
+])
+def test_gcd_bound_refuses_int64_overflow(rows, m, n):
+    d = len(rows[0]) - 1
+    with pytest.raises(ValueError, match="too large"):
+        forms.gcd_bound_check(rows, m, n, [0], [d])
+
+
+def test_gcd_bound_accepts_just_below_overflow():
+    # the largest |c| and |m| the refusal lets through, one below each case above
+    res = forms.gcd_bound_check([[2**61, 1], [1, 2**61]], [1, -1], [1, 1], [0, 0], [1, 1])
+    assert res.holds.all()
+    res = _assert_gcd_rows_match([[1, 0, 1]], [2**30], [2**30 - 1], [0], [2])
+    assert res.holds.all()
+    res = _assert_gcd_rows_match([[1, 1, 1, 1, 1]], [2**15], [3], [1], [4])  # 5 * 2^60
+    assert res.holds.all()
 
 
 def test_gcd_bound_fuzz():
     rng = random.Random(67)
+    draws: dict[int, list] = {d: [] for d in range(1, 5)}
     for _ in range(10**4):
         d = rng.randint(1, 4)
         cs = [rng.randint(-8, 8) for _ in range(d + 1)]
         if cs[0] == 0 or cs[-1] == 0:
             continue
-        g = BinaryForm(cs)
         m, n = rng.randint(-50, 50), rng.randint(-50, 50)
         l = rng.randint(1, d)
         k = rng.randint(0, l - 1)
-        assert forms.gcd_bound_check(g, m, n, k, l).holds
+        draws[d].append((cs, m, n, k, l))
+    for d, tuples in draws.items():  # one array check per degree
+        rows, m, n, k, l = zip(*tuples)
+        assert forms.gcd_bound_check(np.array(rows), m, n, k, l).holds.all()
 
 
 # -- cubes ----------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import fixed_dictionaries
 
-from formlab import chowla_bh, cli, harness
+from formlab import chatelet, chowla_bh, cli, forms, harness
 from formlab import sieve as sieve_mod
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
 from formlab.normforms import field_presets
@@ -638,6 +639,86 @@ def test_battery_suite_filtering(battery):
         harness.verify_battery("everything")
 
 
+# Each fault below breaks one quantity a check covers, at one place.  The
+# check must fail and name the first failing item as the one-item-at-a-time
+# battery did: these details are what it gave for the same faults.
+
+def _at(n0, change):
+    """A SieveTable method whose value at n0 goes through `change`."""
+    def wrap(method):
+        def faulty(self, n, *args):
+            value = method(self, n, *args)
+            return change(value) if n == n0 else value
+        return faulty
+    return wrap
+
+
+def _mobius_entry(method):
+    def table(self):
+        mu = method(self).copy()
+        mu[30] = 0
+        return mu
+    return table
+
+
+def _zero_count_fault(zero_count_mod):
+    # every count at 3^2, and the counts at 2^2 of forms with c0 > 0: in the
+    # order form, p, k the first failure is the first form, at 3^2
+    def faulty(rows, q):
+        return zero_count_mod(rows, q) + 10**6 * ((q == 9) | ((q == 4) & (rows[:, 0] > 0)))
+    return faulty
+
+
+def _gcd_row_fault(gcd_bound_check):
+    # draw 4005 (degree 4) and the later draw 4008 (degree 2) fail; though
+    # degree 2 is checked first, the first failing draw is 4005
+    def faulty(rows, m, n, k, l):
+        res = gcd_bound_check(rows, m, n, k, l)
+        bad = ((m == 833) & (n == 3494)) | ((m == 143) & (n == 3796))
+        return forms.GcdBound(res.lhs, res.rhs, res.holds & ~bad)
+    return faulty
+
+
+_TRIAL = ("oracle", "sieve-vs-trial-division")
+
+
+@pytest.mark.parametrize("owner, attr, fault, check, detail", [
+    (sieve_mod.SieveTable, "liouville", _at(4096, lambda v: -v), _TRIAL, "liouville(4096)"),
+    (sieve_mod.SieveTable, "mangoldt", _at(4096, lambda t: t._replace(exponent=11)), _TRIAL,
+     "mangoldt(4096)"),
+    (sieve_mod.SieveTable, "mangoldt", _at(6, lambda t: sieve_mod.Mangoldt(0.7, 2, 1)), _TRIAL,
+     "mangoldt(6)"),
+    (sieve_mod.SieveTable, "tau_b", _at(720, lambda v: v + 1), _TRIAL, "tau_3(720)"),
+    (sieve_mod.SieveTable, "mobius_table", _mobius_entry, _TRIAL, "mobius(30)"),
+    (forms, "zero_count_mod", _zero_count_fault, ("lemmas", "zero-count-bound"),
+     "((-3, -3, -3), 3, 2)"),
+    (forms, "gcd_bound_check", _gcd_row_fault, ("lemmas", "gcd-bound-fuzz"),
+     "([10, 1, -9, 13, 6], 833, 3494, 0, 1)"),
+], ids=["liouville", "mangoldt-prime-power", "mangoldt-not-prime-power", "tau3",
+        "mobius-entry", "zero-count", "gcd-row"])
+def test_battery_names_the_first_fault(monkeypatch, owner, attr, fault, check, detail):
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    suite, name = check
+    (res,) = [c for c in harness.verify_battery(suite) if c.name == name]
+    assert (res.ok, res.detail) == (False, f"AssertionError: {detail}")
+
+
+def test_hensel_floor_stops_at_the_draw_cap(monkeypatch):
+    draws = []
+
+    def never(inst, p):
+        draws.append(inst)
+        return chatelet.PadicVerdict("no", None, 1)
+
+    monkeypatch.setattr(chatelet, "padic_solvable", never)
+    (res,) = [c for c in harness.verify_battery("lemmas") if c.name == "hensel-density-floor"]
+    assert not res.ok
+    assert res.detail == (f"AssertionError: 0 of 8 instances certified in "
+                          f"{harness._HENSEL_DRAWS} draws")
+    # the cap counts draws, some of which a zero end coefficient skips
+    assert 0 < len(draws) <= harness._HENSEL_DRAWS
+
+
 def test_verify_kind_through_runner(tmp_path):
     cfg = harness.make_config("verify", {"suite": "oracle", "out": str(tmp_path / "v")})
     man = harness.run(cfg)
@@ -718,18 +799,27 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
     ["chowla", "--d", "1", "--H", "10000000000000", "--c", "0.25", *_RUN_OUT],
     ["chowla", "--d", "1", "--H", "1000000000000000000", "--c", "0.25", *_RUN_OUT],
     ["chowla", "--grid", "262145", *_RUN_OUT],
+    # Monte-Carlo points outside [1000, _MC_POINTS]
+    ["hasse", "--mc", "10000001", *_RUN_OUT],
+    ["density", "--mc", "10000001", "--out", "{tmp}/x"],
+    ["hasse", "--mc", "999", *_RUN_OUT],
 ], ids=["c-outside-window", "H-below-3", "grid-0", "bh-d-4", "bh-x-2", "anchor-x-2",
         "sieve-out-missing-dir", "sieve-out-is-directory", "density-B-over-budget",
         "density-B-nan", "density-B-inf", "density-B-1e300", "hasse-x-over-budget",
         "chowla-H-1e19", "bh-H-1e19", "chowla-H-2^63-1", "bh-H-2^63-1", "hasse-height-0",
         "hasse-height-negative", "hasse-primes-negative", "bh-out-under-file",
         "workers-over-ceiling", "chowla-window-H-1e13", "chowla-window-H-1e18",
-        "chowla-grid-over-cap"])
+        "chowla-grid-over-cap", "hasse-mc-over-cap", "density-mc-over-cap",
+        "hasse-mc-below-1000"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "file").write_text("")
     builds = []
     build_sieve = sieve_mod.build_sieve
     monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
+    draws = []
+    draw = harness.DensityProfile.draw
+    monkeypatch.setattr(harness.DensityProfile, "draw",
+                        classmethod(lambda cls, *a: draws.append(a) or draw(*a)))
     code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
@@ -737,6 +827,7 @@ def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
     assert diag["error"] == "config"
     assert not (tmp_path / "x").exists()
     assert builds == []
+    assert draws == []
 
 
 def test_cli_unexaminable_out_is_config_error(tmp_path, capsys, monkeypatch):

@@ -22,11 +22,13 @@ import subprocess
 import sys
 import tempfile
 
-# the C10, C11 and C13 settings of tests/test_acceptance.py::_PROTOCOLS
+# the C10, C11 and C13 settings of tests/test_acceptance.py::_PROTOCOLS,
+# and the whole verify battery (one process at any worker count)
 PROTOCOLS = {
     "c10": ("chowla", {}),
     "c11": ("bh", {}),
     "c13": ("hasse", {}),
+    "verify": ("verify", {}),
 }
 PAIRS = 10
 WORKERS = (1, 2)
