@@ -14,15 +14,6 @@ from . import sieve as sieve_mod
 from .errors import ConfigError
 
 
-def _add_flag(sp: argparse.ArgumentParser, name: str, text: str) -> None:
-    flag = "--" + name.replace("_", "-")
-    if harness.FIELD_TYPES[name] is bool:
-        sp.add_argument(flag, dest=name, action="store_true", default=None, help=text)
-    else:
-        sp.add_argument(flag, dest=name, type=harness.FIELD_TYPES[name], default=None,
-                        help=text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="formlab")
     ap.add_argument("--version", action="version", version=f"formlab {__version__}")
@@ -37,9 +28,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=protocol.help)
         defaults = harness.ExperimentConfig(kind=kind, **protocol.defaults)
         for name in protocol.fields + harness.COMMON_FIELDS:
-            note = protocol.flag_help.get(name)
-            default = f"default {getattr(defaults, name)}"
-            _add_flag(sp, name, f"{note}; {default}" if note else default)
+            text = "; ".join(filter(None, (harness.FIELD_SPECS[name].get("help"),
+                                           f"default {getattr(defaults, name)}",
+                                           harness.range_text(kind, name))))
+            typ = harness.FIELD_TYPES[name]
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, default=None, help=text,
+                            **({"action": "store_true"} if typ is bool else {"type": typ}))
         sp.add_argument("--config", type=str, default=None,
                         help="key=value file; explicit flags override it")
 

@@ -225,7 +225,9 @@ def gcd_bound_check(rows, m, n, k, l) -> GcdBound:
     coefficient controls divisibility by m and the leading one by n.
 
     `rows` is an (F, d+1) array of coefficient rows of one degree and m, n,
-    k, l are length-F arrays.  With (d+1) max|c| max(|m|,|n|)^d < 2^63,
+    k, l are length-F arrays.  The lemma needs nonzero end coefficients,
+    0 <= k < l <= d and (m, n) != (0, 0) in every row; it refuses the rest
+    with ValueError.  With (d+1) max|c| max(|m|,|n|)^d < 2^63,
     g(m,n) and m^k n^(d-l) are exact in int64.  The lhs is at most
     |m^k n^(d-l)|, or |c0 m^d| or |cd n^d| when m or n is 0: below
     2^63/(d+1) <= _GCD_CAP.  So the rhs may saturate there, and `holds`
@@ -239,6 +241,8 @@ def gcd_bound_check(rows, m, n, k, l) -> GcdBound:
     c0, cd = rows[:, 0], rows[:, -1]
     if not np.all((c0 != 0) & (cd != 0)):
         raise ValueError("the bound requires nonzero end coefficients")
+    if np.any((m == 0) & (n == 0)):
+        raise ValueError("the bound requires (m, n) != (0, 0)")
     top = max(-int(rows.min(initial=0)), int(rows.max(initial=0)))
     side = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (m, n))
     if (d + 1) * top * side**d >= 2**63:

@@ -1,10 +1,11 @@
 """Experiment configuration, the parallel runner, persistence, and checks.
 
 Each experiment kind is one `Protocol` in `PROTOCOLS`: the config fields
-it reads with their defaults, its validation, its shared state, its
-records for a block of indices, its summary rows, its CLI help and what
-its CLI run prints.  Config coercion, the CLI flags and the summaries are
-derived from that registry.
+it reads with their defaults, its checks that span fields, its shared
+state, its records for a block of indices, its summary rows, its CLI help
+and what its CLI run prints.  Each config field declares its range once,
+on `ExperimentConfig`.  Config coercion and checks, the CLI flags and the
+summaries are derived from that registry and that table.
 
 Every sample record is a pure function of (config, index).  Records are
 computed in contiguous blocks of indices, in this process or in a pool,
@@ -23,6 +24,7 @@ import json
 import math
 import multiprocessing as mp
 import os
+import sys
 import tempfile
 import time
 import typing
@@ -39,7 +41,7 @@ from . import __version__, arith, chatelet, chowla_bh, forms, normforms
 from . import sieve as sieve_mod
 from .errors import ConfigError, RecordError, ResourceLimitError
 from .forms import BinaryForm, CombinatorialCube
-from .normforms import DensityProfile, RegionB, field_presets
+from .normforms import PRESET_POLYS, DensityProfile, RegionB, field_presets
 from .rng import philox
 
 SUITES = ("all", "lemmas", "oracle")
@@ -61,47 +63,50 @@ _MC_POINTS = 10**7
 _HENSEL_DRAWS = 1000
 
 
+def _field(default, help: str = "", lo=None, hi=None, choices=None):
+    """A config field's default, flag help and range: the closed [lo, hi], either
+    end None when open, or a tuple of `choices`."""
+    return dataclasses.field(default=default, metadata={
+        "help": help, "lo": lo, "hi": hi, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings.  Each field declares its range here, once; `validate`
+    checks the fields the kind reads against it, and the kind what spans fields."""
+
     kind: str
-    field: str = "gaussian"
-    d: int = 2
-    H: int = 100
+    field: str = _field("gaussian", choices=tuple(PRESET_POLYS))
+    d: int = _field(2, lo=1)
+    # the cube draws integers(-H, H + 1) as int64
+    H: int = _field(100, lo=1, hi=2**63 - 2)
     c: float = 0.05
-    x: int = 300
-    r: int = 1
-    samples: int = 50
-    seed: int = 42
-    height: int = 200
-    primes: int = 100
-    w_desk: int = chatelet.DESK_W
-    k_desk: int = chatelet.DESK_K
-    m_dk: int = chatelet.DESK_M
-    B: float = 12.0
-    mc: int = 100000
-    grid: int = 16
-    min_series: float = 0.2
-    anchor: bool = False
-    bins: int = 40
-    suite: str = "all"
+    x: int = _field(300, lo=1)
+    r: int = _field(1, lo=1)
+    samples: int = _field(50, lo=0)
+    seed: int = _field(42, lo=0, hi=2**64 - 1)
+    height: int = _field(200, lo=1)
+    primes: int = _field(100, "test the primes up to this bound as well as the bad primes, "
+                              "which are always tested; 0 tests only the bad primes", lo=0)
+    w_desk: int = _field(chatelet.DESK_W, lo=1)
+    k_desk: int = _field(chatelet.DESK_K, lo=1)
+    m_dk: int = _field(chatelet.DESK_M, lo=1)
+    B: float = _field(12.0, lo=1.0)
+    mc: int = _field(100000, lo=1000, hi=_MC_POINTS)
+    grid: int = _field(16, lo=1, hi=chowla_bh._GRID_POINTS)
+    min_series: float = _field(0.2, lo=0.0)
+    anchor: bool = _field(False, "single identity-form record (densities exactly known)")
+    bins: int = _field(40, lo=2)
+    suite: str = _field("all", choices=SUITES)
     out: str = "runs"
-    workers: int = 1
+    workers: int = _field(1, lo=1, hi=MAX_WORKERS)
 
     def validate(self) -> None:
         protocol = PROTOCOLS.get(self.kind)
         if protocol is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.samples < 0:
-            raise ConfigError("samples must be nonnegative")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
-        if self.d < 1 or self.H < 1:
-            raise ConfigError("d and H must be positive")
-        if self.H > 2**63 - 2:
-            # the cube draws integers(-H, H + 1) as int64
-            raise ConfigError("H must be at most 2^63 - 2")
+        for name in protocol.fields + COMMON_FIELDS:
+            _check_range(self.kind, name, getattr(self, name))
         protocol.validate(self)
 
     def to_dict(self) -> dict:
@@ -113,6 +118,39 @@ class ExperimentConfig:
 
 
 FIELD_TYPES: dict[str, type] = typing.get_type_hints(ExperimentConfig)
+# each field's help, lo, hi and choices, as ExperimentConfig declares them
+FIELD_SPECS = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
+
+
+def field_range(kind: str, name: str) -> tuple:
+    """(lo, hi, choices) of `name` for `kind`: the table's, with the kind's raised lower end."""
+    spec = FIELD_SPECS[name]
+    return PROTOCOLS[kind].at_least.get(name, spec.get("lo")), spec.get("hi"), spec.get("choices")
+
+
+def range_text(kind: str, name: str) -> str:
+    """The range of `name` for `kind` in words; empty when the table declares none."""
+    lo, hi, choices = field_range(kind, name)
+    if choices is not None:
+        return "one of " + ", ".join(choices)
+    finite = "finite and " if FIELD_TYPES[name] is float else ""
+    if lo is None:
+        return "" if hi is None else f"{finite}at most {hi}"
+    return f"{finite}at least {lo}" if hi is None else f"{finite}between {lo} and {hi}"
+
+
+def _check_range(kind: str, name: str, value) -> None:
+    lo, hi, choices = field_range(kind, name)
+    if choices is not None:
+        ok = value in choices
+    elif lo is None and hi is None:
+        return
+    else:
+        # an open end of a float range is the largest finite float, so NaN and ±inf fail
+        top = sys.float_info.max if FIELD_TYPES[name] is float else math.inf
+        ok = (-top if lo is None else lo) <= value <= (top if hi is None else hi)
+    if not ok:
+        raise ConfigError(f"{name} must be {range_text(kind, name)}")
 
 
 def _coerce(key: str, value) -> object:
@@ -128,16 +166,13 @@ def _coerce(key: str, value) -> object:
         raise ConfigError(f"cannot parse boolean {key}={value!r}")
     try:
         return typ(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"cannot parse {key}={value!r}") from None
 
 
 def make_config(kind: str, settings: Optional[dict] = None) -> ExperimentConfig:
     """Config for `kind` with the protocol's defaults under the explicit settings."""
-    protocol = PROTOCOLS.get(kind)
-    if protocol is None:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    merged: dict = dict(protocol.defaults)
+    merged: dict = dict(PROTOCOLS[kind].defaults) if kind in PROTOCOLS else {}
     for key, value in (settings or {}).items():
         if key == "kind":
             continue
@@ -218,14 +253,6 @@ def _check_scale_exponent(cfg: ExperimentConfig) -> None:
         )
 
 
-def _validate_chowla(cfg: ExperimentConfig) -> None:
-    _check_scale_exponent(cfg)
-    if cfg.H < 3:
-        raise ConfigError("H must be at least 3")
-    if cfg.grid < 1:
-        raise ConfigError("grid must be at least 1")
-
-
 def _chowla_state(cfg: ExperimentConfig) -> dict:
     # the window first, so one over its budget costs no sieve
     top = chowla_bh.chowla_window(cfg.H, cfg.c, cfg.grid).top
@@ -260,12 +287,6 @@ def _chowla_summary(records: list[dict]) -> list[tuple]:
 
 def _validate_bh(cfg: ExperimentConfig) -> None:
     _check_scale_exponent(cfg)
-    if cfg.x < 3:
-        raise ConfigError("x must be at least 3")
-    if cfg.r < 1:
-        raise ConfigError("r must be at least 1")
-    if not 0 <= cfg.min_series:
-        raise ConfigError("min_series must be nonnegative")
     if cfg.d > 3 and not cfg.anchor:
         raise ConfigError("bh samples need d <= 3: irreducibility is tested up to degree 3")
 
@@ -323,28 +344,10 @@ def desk_fields(kind: str) -> tuple[str, ...]:
 
 
 def _validate_local(cfg: ExperimentConfig) -> None:
-    """Checks shared by the kinds that count points on N_K(x) = g(u, v)."""
-    presets = field_presets()
-    if cfg.field not in presets:
-        raise ConfigError(f"unknown field preset {cfg.field!r}; have {sorted(presets)}")
-    e = presets[cfg.field].degree
+    """The kinds that count points on N_K(x) = g(u, v) need e | d."""
+    e = field_presets()[cfg.field].degree
     if cfg.d % e != 0:
         raise ConfigError(f"field degree {e} must divide form degree {cfg.d}")
-    if cfg.x < 1:
-        raise ConfigError("x must be positive")
-    desk = desk_fields(cfg.kind)
-    if min(getattr(cfg, name) for name in desk) < 1:
-        raise ConfigError(f"{', '.join(desk)} must be positive")
-    if not 1000 <= cfg.mc <= _MC_POINTS:
-        raise ConfigError(f"mc must be between 1000 and {_MC_POINTS}")
-
-
-def _validate_hasse(cfg: ExperimentConfig) -> None:
-    if cfg.height < 1:
-        raise ConfigError("height must be at least 1")
-    if cfg.primes < 0:
-        raise ConfigError("primes must be at least 0")
-    _validate_local(cfg)
 
 
 def _local_state(cfg: ExperimentConfig, B: Optional[float] = None) -> dict:
@@ -426,14 +429,6 @@ def _hasse_summary(records: list[dict]) -> list[tuple]:
     return rows
 
 
-def _validate_density(cfg: ExperimentConfig) -> None:
-    _validate_local(cfg)
-    if not 1 <= cfg.B < math.inf:
-        raise ConfigError("region scale B must be finite and at least 1")
-    if cfg.bins < 2:
-        raise ConfigError("bins must be at least 2")
-
-
 def _density_state(cfg: ExperimentConfig) -> dict:
     # with no instances to count, the region scale is the B setting itself
     state = _local_state(cfg, float(cfg.B) if cfg.samples == 0 else None)
@@ -504,11 +499,6 @@ def _density_summary(records: list[dict]) -> list[tuple]:
     return rows
 
 
-def _validate_verify(cfg: ExperimentConfig) -> None:
-    if cfg.suite not in SUITES:
-        raise ConfigError(f"suite must be one of {SUITES}")
-
-
 def _verify_prefix(cfg: ExperimentConfig, state: dict) -> list[dict]:
     return [
         {"record": "check", "suite": c.suite, "name": c.name, "ok": c.ok,
@@ -555,8 +545,11 @@ class Protocol:
     """Everything one experiment kind defines, in one place.
 
     `fields` are the config fields the kind reads; each is a flag of its
-    subcommand, with `flag_help` where the default alone does not explain
-    it.  `defaults` override ExperimentConfig's defaults for this kind.
+    subcommand.  `defaults` override ExperimentConfig's defaults for this
+    kind.  A config is checked against the range ExperimentConfig declares
+    for each field the kind reads and for COMMON_FIELDS, with `at_least`
+    raising a lower end for this kind; `validate` then checks what spans
+    fields.
     A run writes the `prefix` rows, then the records of the indices
     i < `count(cfg)`: `records(cfg, state, block)` returns one record per
     index of a contiguous `range` block, in order, each a pure function of
@@ -573,14 +566,14 @@ class Protocol:
     help: str
     fields: tuple[str, ...]
     defaults: dict
-    validate: Callable[[ExperimentConfig], None]
     build_state: Callable[[ExperimentConfig], dict]
     records: Callable[[ExperimentConfig, dict, range], list[dict]]
     summary: Callable[[list[dict]], list[tuple]]
+    validate: Callable[[ExperimentConfig], None] = lambda cfg: None
     prefix: Callable[[ExperimentConfig, dict], list[dict]] = lambda cfg, state: []
     count: Callable[[ExperimentConfig], int] = lambda cfg: cfg.samples
     report: Callable[[ExperimentConfig, "RunManifest"], int] = _report_paths
-    flag_help: dict = dataclasses.field(default_factory=dict)
+    at_least: dict = dataclasses.field(default_factory=dict)
 
 
 PROTOCOLS: dict[str, Protocol] = {
@@ -588,10 +581,11 @@ PROTOCOLS: dict[str, Protocol] = {
         help="sign-correlation sup statistic over sampled forms",
         fields=("d", "H", "c", "samples", "grid"),
         defaults={"d": 3, "H": 1000, "c": 0.08, "samples": 200},
-        validate=_validate_chowla,
+        validate=_check_scale_exponent,
         build_state=_chowla_state,
         records=_chowla_records,
         summary=_chowla_summary,
+        at_least={"H": 3},
     ),
     "bh": Protocol(
         help="prime-density correlations against the local product",
@@ -602,7 +596,7 @@ PROTOCOLS: dict[str, Protocol] = {
         records=lambda cfg, state, block: [_bh_record(cfg, state, k) for k in block],
         summary=_bh_summary,
         count=lambda cfg: 1 if cfg.anchor else cfg.samples,
-        flag_help={"anchor": "single identity-form record (densities exactly known)"},
+        at_least={"x": 3},
     ),
     "hasse": Protocol(
         help="rational versus locally-solvable classes",
@@ -610,18 +604,16 @@ PROTOCOLS: dict[str, Protocol] = {
                 "k_desk", "m_dk", "mc"),
         defaults={"d": 2, "H": 20, "height": 200, "primes": 50, "samples": 400,
                   "x": 20, "mc": 20000},
-        validate=_validate_hasse,
+        validate=_validate_local,
         build_state=_local_state,
         records=_hasse_records,
         summary=_hasse_summary,
-        flag_help={"primes": "test the primes up to this bound as well as the bad "
-                             "primes, which are always tested; 0 tests only the bad primes"},
     ),
     "density": Protocol(
         help="archimedean density bins and count-model records",
         fields=("field", "d", "H", "x", "B", "mc", "samples", "bins", "w_desk", "k_desk"),
         defaults={"d": 2, "H": 50, "x": 40, "samples": 0, "mc": 100000},
-        validate=_validate_density,
+        validate=_validate_local,
         build_state=_density_state,
         records=lambda cfg, state, block: [_density_record(cfg, state, k) for k in block],
         summary=_density_summary,
@@ -631,14 +623,12 @@ PROTOCOLS: dict[str, Protocol] = {
         help="run the exact check battery",
         fields=("suite",),
         defaults={"samples": 0},
-        validate=_validate_verify,
         build_state=lambda cfg: {},
         records=lambda cfg, state, block: [],
         summary=_verify_summary,
         prefix=_verify_prefix,
         count=lambda cfg: 0,
         report=_verify_report,
-        flag_help={"suite": f"one of {', '.join(SUITES)}"},
     ),
 }
 
@@ -1144,8 +1134,7 @@ def _lemma_checks() -> list[CheckResult]:
 
 def verify_battery(suite: str = "all") -> list[CheckResult]:
     """The exact-identity and inequality battery behind `verify`."""
-    if suite not in SUITES:
-        raise ConfigError(f"suite must be one of {SUITES}")
+    _check_range("verify", "suite", suite)
     out: list[CheckResult] = []
     if suite in ("all", "oracle"):
         out.extend(_oracle_checks())

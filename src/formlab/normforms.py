@@ -193,15 +193,21 @@ class NumberField:
         return cls(poly=poly, table=tuple(table), signature=sig, index=index, name=name)
 
 
+# each preset field's defining polynomial, constant term first, by name: the
+# names are known without building a field
+PRESET_POLYS = {
+    "gaussian": (1, 0, 1),
+    "sqrt2": (-2, 0, 1),
+    "cbrt2": (-2, 0, 0, 1),
+    "coray": (-7, 14, -7, 1),
+}
+
+
 @cache
 def field_presets() -> Mapping[str, NumberField]:
     """The preset fields, built once per process; read-only, since callers share them."""
-    return MappingProxyType({
-        "gaussian": NumberField.power_basis([1, 0, 1], index=1, name="gaussian"),
-        "sqrt2": NumberField.power_basis([-2, 0, 1], index=1, name="sqrt2"),
-        "cbrt2": NumberField.power_basis([-2, 0, 0, 1], index=1, name="cbrt2"),
-        "coray": NumberField.power_basis([-7, 14, -7, 1], index=1, name="coray"),
-    })
+    return MappingProxyType({name: NumberField.power_basis(poly, index=1, name=name)
+                             for name, poly in PRESET_POLYS.items()})
 
 
 # ---------------------------------------------------------------------------

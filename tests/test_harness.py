@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis.strategies import fixed_dictionaries
 from formlab import chatelet, chowla_bh, cli, forms, harness
 from formlab import sieve as sieve_mod
 from formlab.errors import ConfigError, RecordError, ResourceLimitError
-from formlab.normforms import field_presets
+from formlab.normforms import NumberField, field_presets
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,97 @@ def test_config_hash_stable():
     assert a.sha256() == b.sha256()
     c = harness.make_config("chowla", {"H": 98, "samples": 1})
     assert a.sha256() != c.sha256()
+
+
+# ---------------------------------------------------------------------------
+# The field table: each range ExperimentConfig declares, at and past its ends.
+
+_RANGED = [(kind, name) for kind, p in harness.PROTOCOLS.items()
+           for name in p.fields + harness.COMMON_FIELDS
+           if harness.field_range(kind, name) != (None, None, None)]
+# settings a value needs beside it to pass the checks that span fields
+_COMPANIONS = {"field": {"d": 6}}
+# (kind, field, value) at a range end that only a check spanning fields refuses:
+# no preset field has degree 1
+_SPANNING_REFUSALS = {("hasse", "d", 1): "must divide", ("density", "d", 1): "must divide"}
+
+
+def _ends(kind: str, name: str) -> tuple[list, list]:
+    """(values at the range's ends, values just past them) of `name` for `kind`."""
+    lo, hi, choices = harness.field_range(kind, name)
+    if choices is not None:
+        return list(choices), ["no-such-choice"]
+    inside = [v for v in (lo, hi) if v is not None]
+    outside = [v + step for v, step in ((lo, -1), (hi, 1)) if v is not None]
+    if harness.FIELD_TYPES[name] is float:
+        outside += [math.nan, math.inf, -math.inf]
+    return inside, outside
+
+
+@pytest.mark.parametrize("kind,name", _RANGED, ids=[f"{k}-{n}" for k, n in _RANGED])
+def test_field_table_range_ends(kind, name):
+    # make_config validates only: no value here builds a state
+    inside, outside = _ends(kind, name)
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            harness.make_config(kind, {name: value})
+    for value in inside:
+        settings = {name: value, **_COMPANIONS.get(name, {})}
+        refusal = _SPANNING_REFUSALS.get((kind, name, value))
+        if refusal:
+            with pytest.raises(ConfigError, match=refusal):
+                harness.make_config(kind, settings)
+        else:
+            assert getattr(harness.make_config(kind, settings), name) == value
+
+
+def _assert_config_exit_two(tmp_path, capsys, monkeypatch, argv):
+    """The CLI exits 2 with the JSON diagnostic, before any directory, sieve or profile."""
+    (tmp_path / "file").write_text("")
+    builds = []
+    build_sieve = sieve_mod.build_sieve
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
+    draws = []
+    draw = harness.DensityProfile.draw
+    monkeypatch.setattr(harness.DensityProfile, "draw",
+                        classmethod(lambda cls, *a: draws.append(a) or draw(*a)))
+    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "config"
+    assert not (tmp_path / "x").exists()
+    assert builds == []
+    assert draws == []
+
+
+@pytest.mark.parametrize("kind", sorted(harness.PROTOCOLS))
+def test_cli_refuses_a_value_past_the_table(tmp_path, capsys, monkeypatch, kind):
+    name = next(n for k, n in _RANGED if k == kind)
+    value = _ends(kind, name)[1][0]
+    _assert_config_exit_two(tmp_path, capsys, monkeypatch,
+                            [kind, "--" + name.replace("_", "-"), str(value), "--out", "{tmp}/x"])
+
+
+def test_a_kind_checks_only_the_fields_it_reads():
+    # verify reads no d, H or samples; density reads no m_dk
+    harness.make_config("verify", {"d": 0, "H": -1, "samples": -1, "mc": 1})
+    harness.make_config("density", {"m_dk": 0})
+    with pytest.raises(ConfigError, match="^seed must be "):
+        harness.make_config("verify", {"seed": -1})
+
+
+def test_flag_help_shows_the_table_range(monkeypatch):
+    # the help reads the preset names, not the fields: building the parser builds none
+    field_presets.cache_clear()
+    monkeypatch.setattr(NumberField, "power_basis",
+                        classmethod(lambda cls, *a, **k: pytest.fail("a field was built")))
+    words = " ".join(_subparser("hasse").format_help().split())
+    assert "--mc MC default 20000; between 1000 and 10000000 " in words
+    assert "--field FIELD default gaussian; one of gaussian, sqrt2, cbrt2, coray " in words
+    words = " ".join(_subparser("chowla").format_help().split())
+    assert "--H H default 1000; between 3 and 9223372036854775806 " in words
+    assert "--c C default 0.08 " in words  # c's range spans fields: exponent_cap(d)
 
 
 # ---------------------------------------------------------------------------
@@ -812,22 +904,7 @@ _RUN_OUT = ["--samples", "1", "--out", "{tmp}/x"]
         "chowla-grid-over-cap", "hasse-mc-over-cap", "density-mc-over-cap",
         "hasse-mc-below-1000"])
 def test_cli_config_error_exit_two(tmp_path, capsys, monkeypatch, argv):
-    (tmp_path / "file").write_text("")
-    builds = []
-    build_sieve = sieve_mod.build_sieve
-    monkeypatch.setattr(sieve_mod, "build_sieve", lambda n: builds.append(n) or build_sieve(n))
-    draws = []
-    draw = harness.DensityProfile.draw
-    monkeypatch.setattr(harness.DensityProfile, "draw",
-                        classmethod(lambda cls, *a: draws.append(a) or draw(*a)))
-    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
-    err = capsys.readouterr().err
-    assert code == 2
-    diag = json.loads(err)
-    assert diag["error"] == "config"
-    assert not (tmp_path / "x").exists()
-    assert builds == []
-    assert draws == []
+    _assert_config_exit_two(tmp_path, capsys, monkeypatch, argv)
 
 
 def test_cli_unexaminable_out_is_config_error(tmp_path, capsys, monkeypatch):
