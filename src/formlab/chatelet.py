@@ -349,9 +349,7 @@ def value_table(instance: ChateletInstance, x: int) -> np.ndarray:
     the multiset of values matters): the one table both counts read."""
     if x < 1:
         raise ValueError("x must be at least 1")
-    d = instance.d
-    worst = (sum(abs(c) for c in instance.form.coeffs) + 1) * x**d
-    if worst >= 2**62:
+    if forms.grid_overflows([instance.form.coeffs], x**instance.d)[0]:
         raise ResourceLimitError("form values overflow the integer grid")
     if (2 * x + 1) ** 2 > _VALUE_BUDGET:
         raise ResourceLimitError("value grid exceeds the enumeration budget")

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import arith, polys
 from .errors import ResourceLimitError
-from .forms import _EVAL_BLOCK, BinaryForm, form_grid, orbit_sum
+from .forms import _EVAL_BLOCK, BinaryForm, form_grid, grid_overflows, orbit_sum
 from .sieve import SieveTable
 
-_GRID_BUDGET = 10**7
+# the most points (u, v) of the square [1, top]^2 or [1, x]^2 the statistics evaluate
+_SQUARE_POINTS = 10**7
 # the most points an integer grid size may ask of the chowla window
 _GRID_POINTS = 2**18
 
@@ -54,13 +55,13 @@ class ChowlaWindow(NamedTuple):
 def chowla_window(scale: int, exponent: float, grid_size) -> ChowlaWindow:
     """The window's points, their floors and its top; shared by a run.
 
-    Raises ResourceLimitError when the top's square exceeds _GRID_BUDGET
+    Raises ResourceLimitError when the top's square exceeds _SQUARE_POINTS
     or an integer grid size exceeds _GRID_POINTS.
     """
     lo = float(scale) ** exponent
     hi = 2.0 * lo
     top = math.floor(hi)
-    if top * top > _GRID_BUDGET:
+    if top * top > _SQUARE_POINTS:
         raise ResourceLimitError("scale window too large for the double-sum budget")
     if grid_size == "all":
         # The double sum is constant between consecutive integers and the
@@ -87,16 +88,6 @@ class ChowlaBlock:
 OVERFLOW = "form values overflow the int64 layer sums"
 
 
-def _overflows(rows: np.ndarray, scale: int) -> np.ndarray:
-    """sum_i |c_i| * scale >= 2^62 per row, exactly: the sum saturates at its threshold."""
-    need = np.uint64(-(-(2**62) // scale))
-    acc = np.zeros(len(rows), dtype=np.uint64)
-    for col in rows.T:
-        # viewed as uint64, the wrapped magnitude of -2**63 reads 2**63
-        acc = np.minimum(acc + np.minimum(np.abs(col).view(np.uint64), need), need)
-    return acc >= need
-
-
 def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size=16) -> ChowlaBlock:
     """sup over the scale window [H^c, 2H^c] of |sum lambda(g(u,v))| / x^2, per row.
 
@@ -118,7 +109,7 @@ def chowla_block(rows, scale: int, exponent: float, sieve: SieveTable, grid_size
     if grid_size != "all" and grid_size < 1:
         raise ValueError("grid_size must be >= 1 or 'all'")
     xs, floors, top = chowla_window(scale, exponent, grid_size)
-    overflow = _overflows(rows, top**d)
+    overflow = grid_overflows(rows, top**d)
 
     axis = np.arange(1, top + 1)
     cols = np.array(floors) - 1
@@ -206,13 +197,12 @@ class BHResult:
 
 
 def _value_grids(forms: Sequence[BinaryForm], x: int) -> list[np.ndarray]:
-    if x * x > _GRID_BUDGET:
+    if x * x > _SQUARE_POINTS:
         raise ResourceLimitError("correlation grid exceeds the budget")
     axis = np.arange(1, x + 1)
     grids = []
     for g in forms:
-        worst = sum(abs(c) for c in g.coeffs) * (x**g.degree)
-        if worst >= 2**62:
+        if grid_overflows([g.coeffs], x**g.degree)[0]:
             raise ResourceLimitError("form values overflow the int64 grid")
         grids.append(form_grid(g, axis, axis))
     return grids

@@ -23,9 +23,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--bound", type=int, required=True)
     sv.add_argument("--out", type=str, required=True)
 
-    # one subcommand per protocol, one flag per field it reads
+    # one subcommand per protocol, one flag per field it reads, never abbreviated
     for kind, protocol in harness.PROTOCOLS.items():
-        sp = sub.add_parser(kind, help=protocol.help)
+        sp = sub.add_parser(kind, help=protocol.help, allow_abbrev=False)
         defaults = harness.ExperimentConfig(kind=kind, **protocol.defaults)
         for name in protocol.fields + harness.COMMON_FIELDS:
             text = "; ".join(filter(None, (harness.FIELD_SPECS[name].get("help"),

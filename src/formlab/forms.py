@@ -19,7 +19,8 @@ from . import arith, polys
 from .errors import ResourceLimitError
 from .rng import mulhilo, philox, philox_words
 
-_GRID_BUDGET = 10**8
+# the most residue pairs (u, v) mod q, q^2, a zero count may ask for
+_RESIDUE_PAIRS = 10**8
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,27 @@ def form_grid(g, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     `g` is a BinaryForm, giving one (len(ms), len(ns)) grid, or an
     (F, d+1) array of coefficient rows, giving (F, len(ms), len(ns)) grids.
     g(m, n) = sum_i c_i m^(d-i) n^i is the product of two Vandermonde
-    matrices; exact when the callers' overflow guards bound every
-    sum_i |c_i| |m|^(d-i) |n|^i below 2^63.
+    matrices; exact for the rows that `grid_overflows` passes at a scale
+    of at least every |m|^(d-i) |n|^i.
     """
     coeffs = np.asarray(g.coeffs if isinstance(g, BinaryForm) else g, dtype=np.int64)
     expo = np.arange(coeffs.shape[-1])
     mpow = np.asarray(ms, dtype=np.int64)[:, None] ** expo
     npow = np.asarray(ns, dtype=np.int64)[:, None] ** expo
     return (mpow[:, ::-1] * coeffs[..., None, :]) @ npow.T
+
+
+def grid_overflows(rows, scale: int) -> np.ndarray:
+    """sum_i |c_i| * scale >= 2^62 per (c0, ..., cd) int64 row, exactly (the sum
+    saturates at its threshold).  Where every |m^(d-i) n^i| <= scale, a row
+    below it has |g(m, n)| < 2^62, so `form_grid` evaluates it exactly."""
+    rows = np.asarray(rows, dtype=np.int64)
+    need = np.uint64(-(-(2**62) // scale))
+    acc = np.zeros(len(rows), dtype=np.uint64)
+    for col in rows.T:
+        # viewed as uint64, the wrapped magnitude of -2**63 reads 2**63
+        acc = np.minimum(acc + np.minimum(np.abs(col).view(np.uint64), need), need)
+    return acc >= need
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +209,7 @@ def zero_count_mod(g, q: int):
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if q * q > _GRID_BUDGET:
+    if q * q > _RESIDUE_PAIRS:
         raise ResourceLimitError(f"mod-{q} grid exceeds the enumeration budget")
     one = isinstance(g, BinaryForm)
     coeffs = g.coeffs if one else np.asarray(g, dtype=np.int64)

@@ -48,8 +48,8 @@ SUITES = ("all", "lemmas", "oracle")
 # config fields every kind reads; each is a flag on every experiment subcommand
 COMMON_FIELDS = ("seed", "out", "workers")
 
-# bh/chowla share one smallest-prime-factor table per process; values beyond
-# it take the slower scalar or probable-prime paths, so this caps memory only
+# the largest smallest-prime-factor table a bh or chowla run state builds; values
+# beyond it take the slower scalar or probable-prime paths, so this caps memory only
 _SIEVE_CAP = 2 * 10**6
 # draws a rejection scan examines before the samples still unmet record an error
 _SCAN_LIMIT = 10**5
@@ -286,7 +286,6 @@ def _chowla_summary(records: list[dict]) -> list[tuple]:
 
 
 def _validate_bh(cfg: ExperimentConfig) -> None:
-    _check_scale_exponent(cfg)
     if cfg.d > 3 and not cfg.anchor:
         raise ConfigError("bh samples need d <= 3: irreducibility is tested up to degree 3")
 
@@ -589,8 +588,8 @@ PROTOCOLS: dict[str, Protocol] = {
     ),
     "bh": Protocol(
         help="prime-density correlations against the local product",
-        fields=("d", "H", "c", "x", "r", "samples", "min_series", "anchor"),
-        defaults={"d": 2, "H": 500, "c": 0.05, "x": 300, "r": 1, "samples": 50},
+        fields=("d", "H", "x", "r", "samples", "min_series", "anchor"),
+        defaults={"d": 2, "H": 500, "x": 300, "r": 1, "samples": 50},
         validate=_validate_bh,
         build_state=_bh_state,
         records=lambda cfg, state, block: [_bh_record(cfg, state, k) for k in block],
@@ -930,10 +929,12 @@ def _oracle_checks() -> list[CheckResult]:
         left = rest > 1  # one prime factor above isqrt(N) is left
         big, small, tau3 = big + left, small + left, tau3 * (1 + 2 * left)
         prime[left] = rest[left]
-        mu_table = sv.mobius_table().tolist()
+        # chowla reads lambda through the table (liouville_values), not the scalar
+        lam_table, mu_table = sv.liouville_table().tolist(), sv.mobius_table().tolist()
         for n, b, s, p, t3 in zip(range(1, N + 1), big.tolist(), small.tolist(),
                                   prime.tolist(), tau3.tolist()):
             assert sv.liouville(n) == (-1) ** b, f"liouville({n})"
+            assert lam_table[n] == (-1) ** b, f"liouville_table[{n}]"
             assert mu_table[n] == (0 if b > s else (-1) ** s), f"mobius({n})"
             tag = sv.mangoldt(n)
             if s == 1:

@@ -53,6 +53,8 @@ def _mp_neg(a: MPoly) -> MPoly:
 
 
 def _mp_eval(a: MPoly, point: Sequence) -> object:
+    """a at one point, or elementwise over coordinate arrays (integer or float):
+    each power is a product of factors, so integer values stay exact."""
     total = 0
     for expo, coef in a.items():
         term = coef
@@ -71,18 +73,6 @@ def _mp_partial(a: MPoly, i: int) -> MPoly:
         k = tuple(e - (1 if j == i else 0) for j, e in enumerate(expo))
         out[k] = out.get(k, 0) + coef * expo[i]
     return out
-
-
-def _mp_eval_array(a: MPoly, pts: np.ndarray) -> np.ndarray:
-    """Evaluate at float points of shape (n, e)."""
-    total = np.zeros(len(pts), dtype=np.float64)
-    for expo, coef in a.items():
-        term = np.full(len(pts), float(coef))
-        for j, e in enumerate(expo):
-            if e:
-                term *= pts[:, j] ** e
-        total += term
-    return total
 
 
 def _mp_eval_mod(a: MPoly, cols: Sequence[np.ndarray], q: int) -> np.ndarray:
@@ -246,7 +236,7 @@ class NormForm:
             raise ValueError("expanded norm disagrees with the determinant")
 
     def __call__(self, y: Sequence):
-        """N(y) at one point, or elementwise over e integer coordinate arrays."""
+        """N(y) at one point, or elementwise over e coordinate arrays (integer or float)."""
         if len(y) != self.field.degree:
             raise ValueError(f"expected {self.field.degree} coordinates")
         return _mp_eval(self.poly, y)
@@ -269,9 +259,6 @@ class NormForm:
 
     def gradient(self, y: Sequence):
         return [_mp_eval(g, y) for g in self.partials]
-
-    def eval_float(self, pts: np.ndarray) -> np.ndarray:
-        return _mp_eval_array(self.poly, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +407,7 @@ class RegionB:
         self.B = float(B)
         e = norm.field.degree
         self.x1 = (2.0 ** (-1 / e),) + (0.0,) * (e - 1)
-        if abs(norm.eval_float(np.array([self.x1]))[0] - 0.5) > 1e-12:
+        if abs(norm(self.x1) - 0.5) > 1e-12:
             raise ValueError("basepoint does not hit 1/2")
         self.kappa = _certify_kappa(norm, self.x1)
         # the budget comes first, so a huge B fails here and not in B**e
@@ -478,9 +465,7 @@ def _certify_kappa(norm: NormForm, x1) -> float:
             second = _mp_partial(norm.partials[j], i)
             lip += sum(abs(c) * R ** (sum(expo) ) for expo, c in second.items())
         axes = [np.linspace(c - kappa, c + kappa, grid_n) for c in x1]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.abs(_mp_eval_array(norm.partials[j], pts))
+        vals = np.abs(_mp_eval(norm.partials[j], np.meshgrid(*axes, indexing="ij")))
         margin = lip * (kappa / (grid_n - 1))
         if float(vals.min()) - margin >= target:
             return kappa
@@ -525,7 +510,7 @@ class DensityProfile:
         e = region.norm.field.degree
         rng = philox(seed, "omega", samples)
         pts = rng.uniform(-1.0, 1.0, size=(samples, e)) * region.kappa + np.asarray(region.x1)
-        vals = region.norm.eval_float(pts) * region.B**e
+        vals = region.norm(pts.T) * region.B**e
         return cls(region=region, samples=samples, values=np.sort(vals),
                    half_width=region.B**e / 200.0)
 

@@ -4,7 +4,8 @@ A SieveTable answers factor / lambda / mu / Lambda / tau_B queries
 exactly for 1 <= n <= bound in O(log n) per query from one uint32 spf
 array (four bytes per entry); beyond the bound, factor is
 arith.factorize (Miller-Rabin and Pollard-Brent rho).  Bulk lambda and
-mu tables cover the statistic pipelines.
+mu tables cover the statistic pipelines; they walk the same spf array,
+one entry from the entry at n / spf(n).
 
 mangoldt_values is one vectorized layer for every magnitude.  It finds
 the p with |n| = p^k over the sorted unique magnitudes: n <= bound is
@@ -177,27 +178,33 @@ class SieveTable:
     def liouville_table(self) -> np.ndarray:
         """int8 array L with L[n] = lambda(n) for 0 <= n <= bound."""
         if self._liouville_table is None:
-            lam = np.ones(self.bound + 1, dtype=np.int8)
-            for p in self.primes():
-                q = p
-                while q <= self.bound:
-                    lam[q::q] *= -1
-                    q *= p
-            lam[0] = 0
-            self._liouville_table = lam
+            self._liouville_table = self._spf_walk(squarefree=False)
         return self._liouville_table
 
     def mobius_table(self) -> np.ndarray:
         if self._mobius_table is None:
-            mu = np.ones(self.bound + 1, dtype=np.int8)
-            for p in self.primes():
-                mu[p::p] *= -1
-                sq = p * p
-                if sq <= self.bound:
-                    mu[sq::sq] = 0
-            mu[0] = 0
-            self._mobius_table = mu
+            self._mobius_table = self._spf_walk(squarefree=True)
         return self._mobius_table
+
+    def _spf_walk(self, squarefree: bool) -> np.ndarray:
+        """lambda (or mu, when squarefree) of 0..bound from f(1) = 1 and, for n >= 2
+        with p = spf(n) and m = n // p, f(n) = -f(m); mu(n) = 0 when spf(m) = p.
+
+        m <= n / 2, so a block of n inside [lo, 2 lo) reads only entries below
+        lo; blocks of at most 2^16 entries keep the temporaries small.
+        """
+        f = np.zeros(self.bound + 1, dtype=np.int8)
+        f[1] = 1
+        lo = 2
+        while lo <= self.bound:
+            hi = min(2 * lo, lo + 2**16, self.bound + 1)
+            p = self._spf[lo:hi]
+            m = np.arange(lo, hi, dtype=np.uint32) // p
+            f[lo:hi] = -f[m]
+            if squarefree:
+                f[lo:hi][self._spf[m] == p] = 0
+            lo = hi
+        return f
 
     # -- vectorized evaluators -------------------------------------------
 

@@ -585,6 +585,17 @@ def test_value_table_overflow_guard(Qi):
         ch.value_table(big, 4000)
 
 
+def test_value_table_bound_at_its_edge(Qi):
+    # sum |c| * x^d is 2^62 - 4 below the edge and 2^62 at it, with x^d = 4;
+    # every |g(m, n)| is at most sum |c| * x^d, so the table below it is exact
+    below = inst_of(Qi, [2**59, -(2**59 - 2), 1])
+    ms = range(-2, 3)
+    assert ch.value_table(below, 2).tolist() == [below.form(m, n) for m in ms
+                                                 for n in ms if n != 0]
+    with pytest.raises(ResourceLimitError, match="^form values overflow the integer grid$"):
+        ch.value_table(inst_of(Qi, [2**59, -(2**59 - 1), 1]), 2)
+
+
 def test_default_B_convention(Qi):
     inst = inst_of(Qi, [1, 0, 1])
     assert abs(ch.default_B(inst, 40, 50.0) - math.sqrt(50) * 40) < 1e-12

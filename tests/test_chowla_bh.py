@@ -447,6 +447,16 @@ def test_correlation_budget_guards(sieve_small):
         bh_correlation([BinaryForm([1, 0])], 1, sieve_small)
 
 
+def test_value_grid_bound_at_its_edge():
+    # sum |c| * x^d is 2^62 - 4 below the edge and 2^62 at it, with x^d = 4
+    below = BinaryForm([2**59, -(2**59 - 2), 1])
+    axis = range(1, 3)
+    (grid,) = chowla_bh._value_grids([below], 2)
+    assert grid.tolist() == [[below(m, n) for n in axis] for m in axis]
+    with pytest.raises(ResourceLimitError, match="^form values overflow the int64 grid$"):
+        chowla_bh._value_grids([below, BinaryForm([2**59, -(2**59 - 1), 1])], 2)
+
+
 # ---------------------------------------------------------------------------
 # admissibility and deterministic rejection streams
 

@@ -162,11 +162,22 @@ def test_cli_refuses_a_value_past_the_table(tmp_path, capsys, monkeypatch, kind)
 
 
 def test_a_kind_checks_only_the_fields_it_reads():
-    # verify reads no d, H or samples; density reads no m_dk
+    # verify reads no d, H or samples; density reads no m_dk; bh reads no c
     harness.make_config("verify", {"d": 0, "H": -1, "samples": -1, "mc": 1})
     harness.make_config("density", {"m_dk": 0})
+    harness.make_config("bh", {"d": 3, "c": 0.1})
     with pytest.raises(ConfigError, match="^seed must be "):
         harness.make_config("verify", {"seed": -1})
+
+
+@pytest.mark.parametrize("flag", ["--c", "--conf"])
+def test_cli_flags_are_not_abbreviated(tmp_path, capsys, flag):
+    # bh has no --c, and neither flag stands for --config
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bh", flag, "0.05", "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.05" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_flag_help_shows_the_table_range(monkeypatch):
@@ -623,6 +634,27 @@ def test_local_records_pinned(tmp_path, kind):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# results.jsonl and summary.csv digests of runs over cubic fields, whose
+# float norm values are the ones whose last bits depend on the evaluator
+_CUBIC_PINS = {
+    "hasse": ({"field": "coray", "d": 3, "samples": 10, "m_dk": 5, "w_desk": 3, "k_desk": 1},
+              "8c1a61ce6a9548a84d778d282ea32e2ee41f45c0c536fa9ac71264ed174f357c",
+              "2855963a151e627f4c1f8f4edbaf7862269a118d8eb98b758b50240d028f9a91"),
+    "density": ({"field": "cbrt2", "d": 3, "samples": 0},
+                "e70ec3f6c92900723ccd151e9b67f03c702c11873808e09834400ddc371b8a9c",
+                "cb6d082f5f70b3fa55486051034f7ecae39890397f0d5dc7bfe888f45ff7700b"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_CUBIC_PINS))
+def test_cubic_field_runs_pinned(tmp_path, kind, workers):
+    settings, results, summary = _CUBIC_PINS[kind]
+    man = harness.run(harness.make_config(
+        kind, {**settings, "workers": workers, "out": str(tmp_path)}))
+    assert man.files == {"results.jsonl": results, "summary.csv": summary}
+
+
 # results.jsonl of `verify --suite all`; the benchmark pins the same digest
 _VERIFY_ALL = "1eab62ffc8265987ff5c9dd5390f390f867432de39ca94593f512c68d411daf2"
 
@@ -745,12 +777,15 @@ def _at(n0, change):
     return wrap
 
 
-def _mobius_entry(method):
-    def table(self):
-        mu = method(self).copy()
-        mu[30] = 0
-        return mu
-    return table
+def _entry(n0, value):
+    """A SieveTable table method whose entry at n0 reads `value`."""
+    def wrap(method):
+        def table(self):
+            out = method(self).copy()
+            out[n0] = value
+            return out
+        return table
+    return wrap
 
 
 def _zero_count_fault(zero_count_mod):
@@ -781,13 +816,15 @@ _TRIAL = ("oracle", "sieve-vs-trial-division")
     (sieve_mod.SieveTable, "mangoldt", _at(6, lambda t: sieve_mod.Mangoldt(0.7, 2, 1)), _TRIAL,
      "mangoldt(6)"),
     (sieve_mod.SieveTable, "tau_b", _at(720, lambda v: v + 1), _TRIAL, "tau_3(720)"),
-    (sieve_mod.SieveTable, "mobius_table", _mobius_entry, _TRIAL, "mobius(30)"),
+    (sieve_mod.SieveTable, "mobius_table", _entry(30, 0), _TRIAL, "mobius(30)"),
+    (sieve_mod.SieveTable, "liouville_table", _entry(4096, -1), _TRIAL,
+     "liouville_table[4096]"),
     (forms, "zero_count_mod", _zero_count_fault, ("lemmas", "zero-count-bound"),
      "((-3, -3, -3), 3, 2)"),
     (forms, "gcd_bound_check", _gcd_row_fault, ("lemmas", "gcd-bound-fuzz"),
      "([10, 1, -9, 13, 6], 833, 3494, 0, 1)"),
 ], ids=["liouville", "mangoldt-prime-power", "mangoldt-not-prime-power", "tau3",
-        "mobius-entry", "zero-count", "gcd-row"])
+        "mobius-entry", "liouville-entry", "zero-count", "gcd-row"])
 def test_battery_names_the_first_fault(monkeypatch, owner, attr, fault, check, detail):
     monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     suite, name = check

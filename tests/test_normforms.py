@@ -162,11 +162,47 @@ def test_norm_input_length(gaussian_norm):
 
 def test_norm_float_and_int_grids(gaussian_norm):
     pts = np.array([[1.5, 2.0], [0.0, -3.0]])
-    out = gaussian_norm.eval_float(pts)
+    out = gaussian_norm(pts.T)
     assert out == pytest.approx([1.5**2 + 4.0, 9.0])
     us, vs = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
     grid = gaussian_norm([us, vs])
     assert grid[0, 0] == 8 and grid[2, 2] == 0
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sqrt2"])
+def test_float_norm_of_quadratic_fields_bit_for_bit(presets, name):
+    # every monomial is c * y_i * y_j with c a power of two up to sign, so
+    # the product of factors equals float(c) * y_i^2 (numpy squares as
+    # y * y), summed from zero, bit for bit
+    norm = presets[name].norm
+    cols = philox(7, "floatnorm", name).uniform(-3.0, 3.0, size=(2, 1000))
+    for poly in (norm.poly, *norm.partials):
+        want = np.zeros(cols.shape[1])
+        for expo, coef in poly.items():
+            term = np.full(cols.shape[1], float(coef))
+            for y, e in zip(cols, expo):
+                if e:
+                    term *= y**e
+            want += term
+        got = nf._mp_eval(poly, cols)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(norm(cols), nf._mp_eval(norm.poly, cols))
+
+
+@pytest.mark.parametrize("name", sorted(nf.PRESET_POLYS))
+def test_float_norm_within_rounding_of_exact(presets, name):
+    # a sum of t products of at most e factors is within about (e + t) ulps
+    # of each term's size; 16 ulps of the terms' absolute sum covers every preset
+    norm = presets[name].norm
+    e = presets[name].degree
+    cols = philox(8, "floatnorm", name).uniform(-2.0, 2.0, size=(e, 300))
+    for poly in (norm.poly, *norm.partials):
+        got = nf._mp_eval(poly, cols)
+        for i, pt in enumerate(cols.T.tolist()):
+            exact = nf._mp_eval(poly, [Fraction(v) for v in pt])
+            size = nf._mp_eval({k: abs(c) for k, c in poly.items()},
+                               [Fraction(abs(v)) for v in pt])
+            assert abs(Fraction(float(got[i])) - exact) <= 16 * Fraction(1, 2**53) * size
 
 
 # --- splitting types ---------------------------------------------------
@@ -432,7 +468,7 @@ def region12(gaussian_norm):
 
 def test_region_positive(gaussian_norm, region12):
     r = region12
-    e1_val = gaussian_norm.eval_float(np.array([r.x1]))[0]
+    e1_val = gaussian_norm(np.array([r.x1]).T)[0]
     assert e1_val == pytest.approx(0.5)
     assert r.kappa > 0
     # the certified box keeps the basepoint's largest partial at half its size or more

@@ -169,15 +169,29 @@ def test_divisor_sum_growth(sieve_1m):
 
 # -- bulk tables -------------------------------------------------------------
 
-def test_tables_match_scalars(sieve_small):
-    lt = sieve_small.liouville_table()
-    mt = sieve_small.mobius_table()
+def _assert_tables_match_scalars(table):
+    lt, mt = table.liouville_table(), table.mobius_table()
+    assert lt.dtype == mt.dtype == np.int8
+    assert len(lt) == len(mt) == table.bound + 1
+    assert lt[0] == 0 and mt[0] == 0
+    assert lt[1:].tolist() == [table.liouville(n) for n in range(1, table.bound + 1)]
+    assert mt[1:].tolist() == [table.mobius(n) for n in range(1, table.bound + 1)]
+
+
+def test_tables_match_scalars(sieve_small, tmp_path):
+    for bound in range(2, 65):
+        _assert_tables_match_scalars(sv.SieveTable(bound))
+    _assert_tables_match_scalars(sieve_small)
     gt = sieve_small.mangoldt_values(np.arange(sieve_small.bound + 1))
-    assert lt[0] == 0 and mt[0] == 0 and gt[0] == 0.0
+    assert gt[0] == 0.0
     for n in list(range(1, 300)) + [9973, 10000]:
-        assert lt[n] == sieve_small.liouville(n)
-        assert mt[n] == sieve_small.mobius(n)
         assert gt[n] == sieve_small.mangoldt(n).value
+    # a table read back from disk walks the uint32 spf array it loaded
+    sieve_small.save(tmp_path / "spf.bin")
+    back = sv.SieveTable.load(tmp_path / "spf.bin")
+    _assert_tables_match_scalars(back)
+    assert back.liouville_table().tobytes() == sieve_small.liouville_table().tobytes()
+    assert back.mobius_table().tobytes() == sieve_small.mobius_table().tobytes()
 
 
 def test_mertens_small_oracle(sieve_small):
